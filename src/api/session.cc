@@ -303,6 +303,14 @@ std::string JsonEscape(const std::string& in) {
 void NodeToJson(const PlanNodePtr& node, std::ostringstream& out) {
   out << "{\"node\":\"" << JsonEscape(node->Describe()) << "\",\"kind\":\""
       << PlanNodeKindName(node->kind()) << "\"";
+  if (node->kind() == PlanNodeKind::kTableScan) {
+    out << ",\"columns\":[";
+    const auto& names = static_cast<const TableScanNode&>(*node).column_names();
+    for (size_t i = 0; i < names.size(); ++i) {
+      out << (i == 0 ? "\"" : ",\"") << JsonEscape(names[i]) << "\"";
+    }
+    out << "]";
+  }
   if (node->estimated_rows() >= 0) {
     out << ",\"estimated_rows\":" << node->estimated_rows();
   }

@@ -147,6 +147,12 @@ void Coordinator::MonitorLoop() {
     }
     std::vector<int> dead = bus_->DeadWorkers();
     for (auto& query : queries) {
+      if (query->hosted_retired.load() > 0) {
+        // A tuning operation in flight holds the lock; retry next round.
+        std::unique_lock<std::mutex> control(query->control_mutex,
+                                             std::try_to_lock);
+        if (control.owns_lock()) ReleaseRetiredTasks(query.get());
+      }
       if (query->state.load() != QueryState::kRunning) continue;
       Status failure;
       {
@@ -163,7 +169,8 @@ void Coordinator::MonitorLoop() {
           // paper's coordinator gets the same signal from task-info
           // polling; charging latency here would throttle detection.
           WorkerNode* w = bus_->worker(worker_id);
-          Task* t = w == nullptr ? nullptr : w->GetTask(task_id);
+          std::shared_ptr<Task> t =
+              w == nullptr ? nullptr : w->GetTask(task_id);
           if (t != nullptr && t->context()->failed()) {
             failure = t->context()->failure().WithContext(
                 "task " + task_id.ToString());
@@ -306,7 +313,8 @@ Result<std::string> Coordinator::Submit(const PlanNodePtr& plan,
       for (int s = 0; s < total; ++s) {
         stage.splits.push_back(SystemSplit{
             fragment.scan_table, s, total,
-            s / std::max(1, layout->splits_per_node), scale_factor_});
+            s / std::max(1, layout->splits_per_node), scale_factor_,
+            /*columns=*/{}});  // each scan operator stamps its projection
       }
     }
     query->stages.emplace(fragment.stage_id, std::move(stage));
@@ -548,6 +556,41 @@ void Coordinator::CleanupQueryTasks(QueryExec* query) {
   }
 }
 
+void Coordinator::ReleaseRetiredTasks(QueryExec* query) {
+  for (auto& [stage_id, stage] : query->stages) {
+    for (size_t t = 0; t < stage.retired.size();) {
+      const TaskId id = stage.retired[t];
+      const int worker_id = stage.retired_workers[t];
+      // In-process like the health check: releasing is bookkeeping, not a
+      // simulated control-plane round trip.
+      WorkerNode* w = bus_->worker(worker_id);
+      std::shared_ptr<Task> task = w == nullptr ? nullptr : w->GetTask(id);
+      if (task == nullptr) {
+        ++t;
+        continue;
+      }
+      TaskInfo info = task->Info();
+      task.reset();  // RemoveTask waits for every other holder
+      if (info.state != TaskState::kFinished || !info.output_acknowledged) {
+        ++t;
+        continue;
+      }
+      stage.released.push_back(std::move(info));
+      {
+        std::lock_guard<std::mutex> lock(query->registry_mutex);
+        auto& registry = query->task_registry;
+        registry.erase(std::remove(registry.begin(), registry.end(),
+                                   std::make_pair(worker_id, id)),
+                       registry.end());
+      }
+      w->RemoveTask(id);
+      stage.retired.erase(stage.retired.begin() + t);
+      stage.retired_workers.erase(stage.retired_workers.begin() + t);
+      --query->hosted_retired;
+    }
+  }
+}
+
 Status Coordinator::SetTaskDop(const std::string& query_id, int stage_id,
                                int dop) {
   auto query = GetQuery(query_id);
@@ -674,6 +717,7 @@ Status Coordinator::DecreaseStageDop(QueryExec* query, StageExec* stage,
     --stage->dop;
     stage->retired.push_back(doomed);
     stage->retired_workers.push_back(doomed_worker);
+    ++query->hosted_retired;
 
     if (stage->fragment.IsScanStage()) {
       // End signal directly to the task's source operators.
@@ -797,6 +841,7 @@ Status Coordinator::DopSwitch(QueryExec* query, StageExec* stage, int dop,
   for (size_t t = 0; t < old_tasks.size(); ++t) {
     stage->retired.push_back(old_tasks[t]);
     stage->retired_workers.push_back(old_workers[t]);
+    ++query->hosted_retired;
   }
 
   stage->last_state_transfer_seconds = total_watch.ElapsedSeconds();
@@ -843,9 +888,7 @@ Result<QuerySnapshot> Coordinator::Snapshot(const std::string& query_id) {
     s.hash_tables_built = stage.fragment.has_join;
 
     bool all_finished = true;
-    auto absorb = [&](const TaskId& id, int worker, bool active) {
-      auto info = bus_->GetTaskInfo(worker, id);
-      if (!info.has_value()) return;
+    auto absorb = [&](const TaskInfo* info, bool active) {
       snapshot.rpc_retries += info->rpc_retries;
       snapshot.peak_build_bytes += info->peak_build_bytes;
       snapshot.spill_bytes_written += info->spill_bytes_written;
@@ -879,11 +922,14 @@ Result<QuerySnapshot> Coordinator::Snapshot(const std::string& query_id) {
       }
     };
     for (size_t t = 0; t < stage.tasks.size(); ++t) {
-      absorb(stage.tasks[t], stage.task_workers[t], true);
+      auto info = bus_->GetTaskInfo(stage.task_workers[t], stage.tasks[t]);
+      if (info.has_value()) absorb(&*info, true);
     }
     for (size_t t = 0; t < stage.retired.size(); ++t) {
-      absorb(stage.retired[t], stage.retired_workers[t], false);
+      auto info = bus_->GetTaskInfo(stage.retired_workers[t], stage.retired[t]);
+      if (info.has_value()) absorb(&*info, false);
     }
+    for (const TaskInfo& info : stage.released) absorb(&info, false);
     s.finished = all_finished && !stage.tasks.empty();
     snapshot.stages.push_back(std::move(s));
   }

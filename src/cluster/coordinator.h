@@ -213,8 +213,10 @@ class Coordinator {
     int next_task_seq = 0;
     std::vector<TaskId> tasks;       // active task group
     std::vector<int> task_workers;   // parallel to `tasks`
-    std::vector<TaskId> retired;     // replaced/removed tasks (kept for info)
+    std::vector<TaskId> retired;     // replaced/removed tasks, still hosted
     std::vector<int> retired_workers;
+    /// Final info of retired tasks already released from their workers.
+    std::vector<TaskInfo> released;
     std::deque<SystemSplit> splits;  // scan stages only
     /// Drivers per tunable pipeline of this stage's tasks (SetTaskDop
     /// target); feeds the query's pool-share weight.
@@ -241,6 +243,9 @@ class Coordinator {
     double initial_schedule_ms = 0;
     int64_t initial_schedule_requests = 0;
     std::mutex control_mutex;  // serializes tuning operations
+    /// Retired tasks still hosted on workers, across all stages: lets the
+    /// monitor skip the (usual) queries with nothing to release.
+    std::atomic<int> hosted_retired{0};
     std::mutex split_mutex;
     std::mutex fetch_mutex;  // serializes result fetches (cursor vs Wait)
     RemoteSplit root_split;  // stage 0's single task, pulled by consumers
@@ -292,6 +297,12 @@ class Coordinator {
                    DopSwitchReport* report);
 
   void CleanupQueryTasks(QueryExec* query);
+
+  /// Releases every retired task that has finished and whose output was
+  /// acknowledged by all consumers: keeps its final TaskInfo for Snapshot
+  /// and removes it (and its hash tables) from its worker. Requires
+  /// `query->control_mutex`.
+  void ReleaseRetiredTasks(QueryExec* query);
 
   /// Runs `call` with exponential backoff on kUnavailable (idempotent
   /// control-plane calls only). kAlreadyExists after an earlier

@@ -176,7 +176,7 @@ Status RpcBus::StartTask(int worker_id, const TaskId& task) {
   if (!fate.pre.ok()) return fate.pre;
   WorkerNode* w = worker(worker_id);
   if (w == nullptr) return NoWorker(worker_id);
-  Task* t = w->GetTask(task);
+  std::shared_ptr<Task> t = w->GetTask(task);
   if (t == nullptr) return NoTask(task);
   t->Start();
   return FinishCall(fate, "rpc.StartTask");
@@ -189,7 +189,7 @@ Status RpcBus::AddRemoteSplits(int worker_id, const TaskId& task,
   if (!fate.pre.ok()) return fate.pre;
   WorkerNode* w = worker(worker_id);
   if (w == nullptr) return NoWorker(worker_id);
-  Task* t = w->GetTask(task);
+  std::shared_ptr<Task> t = w->GetTask(task);
   if (t == nullptr) return NoTask(task);
   t->AddRemoteSplits(source_stage, splits);
   return FinishCall(fate, "rpc.AddRemoteSplits");
@@ -200,7 +200,7 @@ Status RpcBus::SetTaskDop(int worker_id, const TaskId& task, int dop) {
   if (!fate.pre.ok()) return fate.pre;
   WorkerNode* w = worker(worker_id);
   if (w == nullptr) return NoWorker(worker_id);
-  Task* t = w->GetTask(task);
+  std::shared_ptr<Task> t = w->GetTask(task);
   if (t == nullptr) return NoTask(task);
   ACCORDION_RETURN_NOT_OK(t->SetDop(dop));
   return FinishCall(fate, "rpc.SetTaskDop");
@@ -211,7 +211,7 @@ Status RpcBus::SetConsumerCount(int worker_id, const TaskId& task, int count) {
   if (!fate.pre.ok()) return fate.pre;
   WorkerNode* w = worker(worker_id);
   if (w == nullptr) return NoWorker(worker_id);
-  Task* t = w->GetTask(task);
+  std::shared_ptr<Task> t = w->GetTask(task);
   if (t == nullptr) return NoTask(task);
   t->output_buffer()->SetConsumerCount(count);
   return FinishCall(fate, "rpc.SetConsumerCount");
@@ -223,7 +223,7 @@ Status RpcBus::EndSignalOutput(int worker_id, const TaskId& task,
   if (!fate.pre.ok()) return fate.pre;
   WorkerNode* w = worker(worker_id);
   if (w == nullptr) return NoWorker(worker_id);
-  Task* t = w->GetTask(task);
+  std::shared_ptr<Task> t = w->GetTask(task);
   if (t == nullptr) return NoTask(task);
   t->EndSignalOutput(buffer_id);
   return FinishCall(fate, "rpc.EndSignalOutput");
@@ -234,7 +234,7 @@ Status RpcBus::SignalEndSources(int worker_id, const TaskId& task) {
   if (!fate.pre.ok()) return fate.pre;
   WorkerNode* w = worker(worker_id);
   if (w == nullptr) return NoWorker(worker_id);
-  Task* t = w->GetTask(task);
+  std::shared_ptr<Task> t = w->GetTask(task);
   if (t == nullptr) return NoTask(task);
   t->SignalEndSources();
   return FinishCall(fate, "rpc.SignalEndSources");
@@ -245,7 +245,7 @@ Status RpcBus::AbortTask(int worker_id, const TaskId& task) {
   if (!fate.pre.ok()) return fate.pre;
   WorkerNode* w = worker(worker_id);
   if (w == nullptr) return NoWorker(worker_id);
-  Task* t = w->GetTask(task);
+  std::shared_ptr<Task> t = w->GetTask(task);
   if (t == nullptr) return NoTask(task);
   t->Abort();
   return FinishCall(fate, "rpc.AbortTask");
@@ -257,7 +257,7 @@ Status RpcBus::AddOutputTaskGroup(int worker_id, const TaskId& task, int count,
   if (!fate.pre.ok()) return fate.pre;
   WorkerNode* w = worker(worker_id);
   if (w == nullptr) return NoWorker(worker_id);
-  Task* t = w->GetTask(task);
+  std::shared_ptr<Task> t = w->GetTask(task);
   if (t == nullptr) return NoTask(task);
   t->AddOutputTaskGroup(count, first_buffer_id);
   return FinishCall(fate, "rpc.AddOutputTaskGroup");
@@ -269,7 +269,7 @@ Status RpcBus::SwitchOutputToNewestGroup(int worker_id, const TaskId& task) {
   if (!fate.pre.ok()) return fate.pre;
   WorkerNode* w = worker(worker_id);
   if (w == nullptr) return NoWorker(worker_id);
-  Task* t = w->GetTask(task);
+  std::shared_ptr<Task> t = w->GetTask(task);
   if (t == nullptr) return NoTask(task);
   t->SwitchOutputToNewestGroup();
   return FinishCall(fate, "rpc.SwitchOutputToNewestGroup");
@@ -289,7 +289,7 @@ Result<PagesResult> RpcBus::GetPages(const RemoteSplit& split, int buffer_id,
     return Status::Unavailable("no worker " + std::to_string(split.worker_id))
         .WithContext("rpc.GetPages");
   }
-  Task* t = w->GetTask(split.task);
+  std::shared_ptr<Task> t = w->GetTask(split.task);
   if (t == nullptr) {
     return Status::Unavailable("no task " + split.task.ToString())
         .WithContext("rpc.GetPages");
@@ -325,7 +325,7 @@ Result<PagesResult> RpcBus::GetPagesDeferred(const RemoteSplit& split,
     return Status::Unavailable("no worker " + std::to_string(split.worker_id))
         .WithContext("rpc.GetPages");
   }
-  Task* t = w->GetTask(split.task);
+  std::shared_ptr<Task> t = w->GetTask(split.task);
   if (t == nullptr) {
     return Status::Unavailable("no task " + split.task.ToString())
         .WithContext("rpc.GetPages");
@@ -354,7 +354,7 @@ std::optional<TaskInfo> RpcBus::GetTaskInfo(int worker_id,
   if (!fate.pre.ok() || fate.drop) return std::nullopt;
   WorkerNode* w = worker(worker_id);
   if (w == nullptr) return std::nullopt;
-  Task* t = w->GetTask(task);
+  std::shared_ptr<Task> t = w->GetTask(task);
   if (t == nullptr) return std::nullopt;
   return t->Info();
 }

@@ -1,5 +1,7 @@
 #include "cluster/worker.h"
 
+#include <thread>
+
 #include "common/logging.h"
 
 namespace accordion {
@@ -53,14 +55,23 @@ std::unique_ptr<PageSource> StorageService::OpenSplit(
   ACC_CHECK(split.storage_node_id >= 0 &&
             split.storage_node_id < num_nodes())
       << "split references unknown storage node " << split.storage_node_id;
+  // NULL injection is keyed on the full row, so it needs every column and
+  // projects afterwards; otherwise only the projected columns are made.
+  const bool inject = engine_config_->null_injection_rate > 0;
   std::unique_ptr<PageSource> generator = std::make_unique<GeneratorPageSource>(
       split.table, split.scale_factor, split.split_index, split.split_count,
-      engine_config_->batch_rows);
-  if (engine_config_->null_injection_rate > 0) {
+      engine_config_->batch_rows,
+      inject ? std::vector<int>{} : split.columns);
+  if (inject) {
     generator = std::make_unique<NullInjectingPageSource>(
         std::move(generator), engine_config_->null_injection_rate,
         engine_config_->null_injection_seed);
+    if (!split.columns.empty()) {
+      generator = std::make_unique<ProjectingPageSource>(std::move(generator),
+                                                         split.columns);
+    }
   }
+  // The NIC carries the projected pages only (columnar reads).
   return std::make_unique<NicChargingPageSource>(
       std::move(generator), nics_[split.storage_node_id].get(), reader_nic);
 }
@@ -102,19 +113,19 @@ Status WorkerNode::CreateTask(TaskSpec spec, NextSplitFn next_split) {
   if (tasks_.count(key) > 0) {
     return Status::AlreadyExists("task " + key + " already scheduled");
   }
-  tasks_.emplace(key, std::make_unique<Task>(std::move(spec), std::move(apis),
+  tasks_.emplace(key, std::make_shared<Task>(std::move(spec), std::move(apis),
                                              &cpu_, &nic_, engine_config_));
   return Status::OK();
 }
 
-Task* WorkerNode::GetTask(const TaskId& task_id) {
+std::shared_ptr<Task> WorkerNode::GetTask(const TaskId& task_id) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = tasks_.find(task_id.ToString());
-  return it == tasks_.end() ? nullptr : it->second.get();
+  return it == tasks_.end() ? nullptr : it->second;
 }
 
 Status WorkerNode::RemoveTask(const TaskId& task_id) {
-  std::unique_ptr<Task> doomed;
+  std::shared_ptr<Task> doomed;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = tasks_.find(task_id.ToString());
@@ -124,7 +135,11 @@ Status WorkerNode::RemoveTask(const TaskId& task_id) {
     doomed = std::move(it->second);
     tasks_.erase(it);
   }
-  // Destruction retires the task's scheduler units outside the map lock.
+  // Calls that looked the task up hold it only for their duration; wait
+  // them out so the task is destroyed here, outside the map lock. Its
+  // destructor retires scheduler units, which a pool thread (where those
+  // calls may run) must never do.
+  while (doomed.use_count() > 1) std::this_thread::yield();
   doomed.reset();
   return Status::OK();
 }
@@ -136,14 +151,14 @@ int WorkerNode::NumTasks() const {
 
 void WorkerNode::Crash() {
   if (crashed_.exchange(true)) return;
-  std::vector<Task*> tasks;
+  std::vector<std::shared_ptr<Task>> tasks;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (auto& entry : tasks_) tasks.push_back(entry.second.get());
+    for (auto& entry : tasks_) tasks.push_back(entry.second);
   }
   // Abort outside the map lock: Abort() only flips flags, but driver
   // threads it unblocks may call back into GetTask.
-  for (Task* t : tasks) t->Abort();
+  for (const auto& t : tasks) t->Abort();
 }
 
 }  // namespace accordion

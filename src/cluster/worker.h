@@ -20,8 +20,9 @@ class StorageService {
   StorageService(int num_nodes, const NodeConfig& node_config,
                  const EngineConfig* engine_config);
 
-  /// Opens a split; returned source charges the storage node's NIC (and
-  /// the reader's, via `reader_nic`) per page.
+  /// Opens a split projected onto `split.columns`; the returned source
+  /// charges the storage node's NIC (and the reader's, via `reader_nic`)
+  /// per projected page.
   std::unique_ptr<PageSource> OpenSplit(const SystemSplit& split,
                                         ResourceGovernor* reader_nic);
 
@@ -48,7 +49,11 @@ class WorkerNode {
 
   // --- task manager (invoked by RpcBus) ---
   Status CreateTask(TaskSpec spec, NextSplitFn next_split);
-  Task* GetTask(const TaskId& task_id);
+  /// Shared so that a task removed mid-call (a released retired task)
+  /// stays valid until the call returns.
+  std::shared_ptr<Task> GetTask(const TaskId& task_id);
+  /// Removes and destroys a task on the calling thread, after waiting out
+  /// calls that still hold it. Never call from a pool thread.
   Status RemoveTask(const TaskId& task_id);
   int NumTasks() const;
 
@@ -67,7 +72,7 @@ class WorkerNode {
   ResourceGovernor nic_;
 
   mutable std::mutex mutex_;
-  std::map<std::string, std::unique_ptr<Task>> tasks_;
+  std::map<std::string, std::shared_ptr<Task>> tasks_;
 };
 
 }  // namespace accordion

@@ -39,6 +39,12 @@ class Random {
     return s;
   }
 
+  /// Advances past the next `draws` values without computing them: the
+  /// state is a counter, so NextString(n) and Skip(n) leave it equal.
+  void Skip(int64_t draws) {
+    state_ += static_cast<uint64_t>(draws) * 0x9E3779B97F4A7C15ULL;
+  }
+
  private:
   uint64_t state_;
 };

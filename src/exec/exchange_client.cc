@@ -78,12 +78,14 @@ void ExchangeClient::CommitPending() {
   PagesResult result = std::move(pending_.result);
   const RemoteSplit target = pending_.target;
   pending_ = PendingFetch{};
+  int64_t end_sequence = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (auto& s : sources_) {
       if (!(s.split == target)) continue;
       s.attempts = 0;
       s.next_sequence += static_cast<int64_t>(result.pages.size());
+      end_sequence = s.next_sequence;
     }
     for (auto& page : result.pages) {
       buffered_bytes_ += page->ByteSize();
@@ -93,11 +95,22 @@ void ExchangeClient::CommitPending() {
       for (auto& s : sources_) {
         if (s.split == target) s.finished = true;
       }
-      if (AllSourcesFinishedLocked()) {
-        complete_ = true;
-        return;
-      }
+      if (AllSourcesFinishedLocked()) complete_ = true;
     }
+  }
+  if (result.complete) {
+    // Acknowledge the final pages: until then the producer keeps them for
+    // a retry and cannot be released. Best effort and never waited for —
+    // a lost ack only keeps a finished producer alive until its query is
+    // torn down.
+    int64_t ignored_ready_at_us = 0;
+    if (fetch_deferred_) {
+      fetch_deferred_(target, own_buffer_id_, end_sequence, 0,
+                      &ignored_ready_at_us);
+    } else {
+      fetch_(target, own_buffer_id_, end_sequence, 0);
+    }
+    if (complete_.load()) return;
   }
   if (result.pages.empty() && !result.complete) {
     // Exponential idle backoff instead of a fixed hot-poll cadence:

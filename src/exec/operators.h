@@ -28,8 +28,11 @@ using OpenSplitFn =
     std::function<std::unique_ptr<PageSource>(const SystemSplit&)>;
 
 // --- source operators ---
+/// Scans the splits `next_split` hands out, each opened projected onto
+/// `columns` (table channels; empty reads every column).
 OperatorFactoryPtr MakeTableScanFactory(NextSplitFn next_split,
-                                        OpenSplitFn open_split);
+                                        OpenSplitFn open_split,
+                                        std::vector<int> columns);
 OperatorFactoryPtr MakeValuesFactory(std::vector<PagePtr> pages);
 OperatorFactoryPtr MakeExchangeFactory(ExchangeClient* client);
 OperatorFactoryPtr MakeLocalExchangeSourceFactory(LocalExchange* exchange);

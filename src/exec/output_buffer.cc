@@ -84,6 +84,12 @@ PagesResult OutputBuffer::GetPages(int buffer_id, int64_t start_sequence,
     stream.window.pop_front();
     ++stream.window_start;
   }
+  if (max_pages == 0) {
+    PagesResult ack;
+    ack.complete =
+        stream.complete_seen && start_sequence == stream.next_sequence;
+    return ack;
+  }
   if (start_sequence < stream.next_sequence) {
     // Retry after a lost response: re-serve from the unacked window.
     PagesResult result;
@@ -221,6 +227,14 @@ void BroadcastBuffer::Enqueue(const PagePtr& page) {
   std::lock_guard<std::mutex> lock(mutex_);
   cache_.push_back(page);
   queued_bytes_ += page->ByteSize();
+}
+
+bool OutputBuffer::AllStreamsAcknowledged() {
+  std::lock_guard<std::mutex> lock(stream_mutex_);
+  for (const auto& [buffer_id, stream] : streams_) {
+    if (!stream.window.empty()) return false;
+  }
+  return true;
 }
 
 PagesResult BroadcastBuffer::FetchNewPages(int buffer_id, int max_pages) {

@@ -111,8 +111,14 @@ class OutputBuffer {
   /// GetPages response is invisible to the query. Completion is likewise
   /// re-observable. Pass kAutoSequence for local consumers that never
   /// retry (acks everything outstanding, serves only new pages).
+  /// A call with `max_pages` 0 only acknowledges: consumers send one after
+  /// observing completion, so the buffer knows the final pages arrived.
   static constexpr int64_t kAutoSequence = -1;
   PagesResult GetPages(int buffer_id, int64_t start_sequence, int max_pages);
+
+  /// True when every stream that was served has acknowledged all of its
+  /// pages: no consumer can need a retry from this buffer any more.
+  bool AllStreamsAcknowledged();
 
   /// Legacy single-shot form: no resume window (every page is delivered
   /// exactly once, immediately acked).

@@ -2,6 +2,7 @@
 #define ACCORDION_EXEC_SPLIT_H_
 
 #include <string>
+#include <vector>
 
 namespace accordion {
 
@@ -36,6 +37,9 @@ struct SystemSplit {
   int split_count = 1;
   int storage_node_id = 0;
   double scale_factor = 1.0;
+  /// Table channels the scan reads, in output order; empty reads every
+  /// column. Set by the scan operator from its plan node.
+  std::vector<int> columns;
 };
 
 /// Address of an upstream task to exchange pages with (paper's remote

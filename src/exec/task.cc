@@ -279,6 +279,7 @@ TaskInfo Task::Info() {
   for (const auto& [id, bridge] : join_bridges_) {
     if (!bridge->built()) info.hash_tables_built = false;
   }
+  info.output_acknowledged = buffer_->AllStreamsAcknowledged();
   info.failed = task_ctx_.failed();
   if (info.failed) info.failure_message = task_ctx_.failure().ToString();
   info.rpc_retries = task_ctx_.rpc_retries();

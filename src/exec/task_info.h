@@ -62,6 +62,10 @@ struct TaskInfo {
   bool has_join = false;
   bool hash_tables_built = false;
 
+  /// Every consumer acknowledged this task's final output pages, so none
+  /// can need a retry from it: a finished task can then be released.
+  bool output_acknowledged = false;
+
   /// Node-level utilizations at snapshot time (for n_f capping, §5.3).
   double cpu_utilization = 0;
   double nic_utilization = 0;

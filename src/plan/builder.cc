@@ -25,30 +25,16 @@ PlanBuilder::Rel PlanBuilder::Scan(const std::string& table,
                                    const std::vector<std::string>& columns) {
   auto schema = catalog_->GetTable(table);
   ACC_CHECK(schema.ok()) << schema.status().ToString();
-  std::vector<DataType> types;
-  types.reserve(columns.size());
+  std::vector<int> channels;
+  channels.reserve(columns.size());
   for (const auto& name : columns) {
     int ch = schema->ChannelOf(name);
     ACC_CHECK(ch >= 0) << "table " << table << " has no column " << name;
-    types.push_back(schema->TypeOf(ch));
+    channels.push_back(ch);
   }
-  // The scan operator produces the full table schema; project down to the
-  // requested columns right away (column pruning).
-  Rel full{std::make_shared<TableScanNode>(NextId(), table,
-                                           schema->ColumnTypes()),
-           {}};
-  for (const auto& def : schema->columns()) full.names.push_back(def.name);
-  if (columns.size() == full.names.size()) {
-    bool identity = true;
-    for (size_t i = 0; i < columns.size(); ++i) {
-      identity &= columns[i] == full.names[i];
-    }
-    if (identity) return full;
-  }
-  std::vector<ExprPtr> exprs;
-  exprs.reserve(columns.size());
-  for (const auto& name : columns) exprs.push_back(full.Ref(name));
-  return Project(full, std::move(exprs), columns);
+  return Rel{std::make_shared<TableScanNode>(NextId(), *schema,
+                                             std::move(channels)),
+             columns};
 }
 
 PlanBuilder::Rel PlanBuilder::Filter(Rel input, ExprPtr predicate) {

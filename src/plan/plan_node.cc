@@ -110,12 +110,36 @@ DataType Aggregate::ResultType() const {
 std::string PlanNode::ToString(int indent) const {
   std::ostringstream out;
   out << std::string(indent * 2, ' ') << Describe();
+  if (kind_ == PlanNodeKind::kTableScan) {
+    const auto& names = static_cast<const TableScanNode*>(this)->column_names();
+    out << " columns=[";
+    for (size_t i = 0; i < names.size(); ++i) {
+      out << (i == 0 ? "" : ", ") << names[i];
+    }
+    out << "]";
+  }
   if (estimated_rows_ >= 0) {
     out << "  [est. rows: " << static_cast<int64_t>(estimated_rows_) << "]";
   }
   out << "\n";
   for (const auto& child : children_) out << child->ToString(indent + 1);
   return out.str();
+}
+
+TableScanNode::TableScanNode(int id, const TableSchema& schema,
+                             std::vector<int> columns)
+    : PlanNode(PlanNodeKind::kTableScan, id,
+               [&] {
+                 std::vector<DataType> types;
+                 types.reserve(columns.size());
+                 for (int c : columns) types.push_back(schema.TypeOf(c));
+                 return types;
+               }(),
+               {}),
+      table_(schema.name()),
+      columns_(std::move(columns)) {
+  column_names_.reserve(columns_.size());
+  for (int c : columns_) column_names_.push_back(schema.columns()[c].name);
 }
 
 ProjectNode::ProjectNode(int id, std::vector<ExprPtr> exprs, PlanNodePtr child)

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "catalog/catalog.h"
 #include "expr/expr.h"
 #include "vector/data_type.h"
 
@@ -138,17 +139,23 @@ class PlanNode {
 // Node subclasses
 // ---------------------------------------------------------------------------
 
+/// Reads a base table, projected onto `columns` (schema channels, in
+/// output order): storage materializes and ships only those columns.
 class TableScanNode : public PlanNode {
  public:
-  TableScanNode(int id, std::string table, std::vector<DataType> output_types)
-      : PlanNode(PlanNodeKind::kTableScan, id, std::move(output_types), {}),
-        table_(std::move(table)) {}
+  TableScanNode(int id, const TableSchema& schema, std::vector<int> columns);
 
   const std::string& table() const { return table_; }
+  const std::vector<int>& columns() const { return columns_; }
+  const std::vector<std::string>& column_names() const {
+    return column_names_;
+  }
   std::string Describe() const override { return "TableScan(" + table_ + ")"; }
 
  private:
   std::string table_;
+  std::vector<int> columns_;
+  std::vector<std::string> column_names_;
 };
 
 class FilterNode : public PlanNode {

@@ -24,12 +24,14 @@ class PageSource {
 
 /// PageSource over the deterministic TPC-H generator (the default storage
 /// backend: equivalent to reading a pre-generated CSV split, minus disk).
+/// `columns` projects the split as TpchSplitGenerator does.
 class GeneratorPageSource : public PageSource {
  public:
   GeneratorPageSource(std::string table, double scale_factor, int split_index,
-                      int split_count, int64_t batch_rows = 1024)
+                      int split_count, int64_t batch_rows = 1024,
+                      std::vector<int> columns = {})
       : gen_(std::move(table), scale_factor, split_index, split_count,
-             batch_rows) {}
+             batch_rows, std::move(columns)) {}
 
   PagePtr Next() override { return gen_.NextPage(); }
   int64_t TotalRows() const override { return gen_.TotalRows(); }
@@ -58,6 +60,30 @@ class NullInjectingPageSource : public PageSource {
   std::unique_ptr<PageSource> inner_;
   double rate_;
   uint64_t seed_;
+};
+
+/// Keeps the `columns` channels of every page of a source, in that order,
+/// sharing their buffers. Projects after NULL injection, which is keyed on
+/// the full row.
+class ProjectingPageSource : public PageSource {
+ public:
+  ProjectingPageSource(std::unique_ptr<PageSource> inner,
+                       std::vector<int> columns)
+      : inner_(std::move(inner)), columns_(std::move(columns)) {}
+
+  PagePtr Next() override {
+    PagePtr page = inner_->Next();
+    if (page == nullptr) return nullptr;
+    std::vector<ColumnPtr> kept;
+    kept.reserve(columns_.size());
+    for (int c : columns_) kept.push_back(page->shared_column(c));
+    return Page::MakeShared(std::move(kept));
+  }
+  int64_t TotalRows() const override { return inner_->TotalRows(); }
+
+ private:
+  std::unique_ptr<PageSource> inner_;
+  std::vector<int> columns_;
 };
 
 }  // namespace accordion

@@ -44,6 +44,9 @@ const char* kMaterials[5] = {"TIN", "NICKEL", "BRASS", "STEEL", "COPPER"};
 // Order-date window from the TPC-H spec.
 const int64_t kStartDate = ParseDate("1992-01-01");
 const int64_t kEndDate = ParseDate("1998-08-02");
+// Status cut-off: line items shipped after it are open ("O"), and so are
+// orders placed less than 90 days before it.
+const int64_t kStatusDate = ParseDate("1995-06-17");
 
 uint64_t Splitmix(uint64_t x) {
   x += 0x9E3779B97F4A7C15ULL;
@@ -59,8 +62,8 @@ uint64_t TableSeed(const std::string& table) {
 }
 
 /// Per-row deterministic RNG: generation order never affects values.
-Random RowRng(const std::string& table, int64_t row) {
-  return Random(Splitmix(TableSeed(table) ^ static_cast<uint64_t>(row)));
+Random RowRng(uint64_t table_seed, int64_t row) {
+  return Random(Splitmix(table_seed ^ static_cast<uint64_t>(row)));
 }
 
 int64_t LinesPerOrder(int64_t orderkey) {
@@ -73,17 +76,63 @@ double PartRetailPrice(int64_t partkey) {
   return 900.0 + static_cast<double>(partkey % 1000) + 0.01 * (partkey % 100);
 }
 
-struct PageBuilder {
-  std::vector<Column> cols;
+// Line-item channels whose values take random draws (all but l_orderkey
+// and l_linenumber), and those derived from the order date (8..15; the
+// return flag's draw depends on it, so the draws after it do too).
+constexpr uint64_t kLineitemDrawnColumns = 0xFFFFull & ~0x9ull;
+constexpr uint64_t kLineitemDatedColumns = 0xFF00ull;
 
-  explicit PageBuilder(const TableSchema& schema) {
-    for (const auto& def : schema.columns()) cols.emplace_back(def.type);
-  }
-
-  PagePtr Finish() { return Page::Make(std::move(cols)); }
-};
+/// Position of `table` in TpchTableNames(), which the generator's table
+/// enum follows.
+int TableIndex(const std::string& table) {
+  const auto& names = TpchTableNames();
+  auto it = std::find(names.begin(), names.end(), table);
+  ACC_CHECK(it != names.end()) << "unknown TPC-H table: " << table;
+  return static_cast<int>(it - names.begin());
+}
 
 }  // namespace
+
+/// One page under construction: a column per schema channel, of which
+/// only the projected ones are ever appended to. Values of the others are
+/// still drawn by the callers, so the row's RNG stays in step.
+struct TpchSplitGenerator::Builder {
+  std::vector<Column> cols;
+  uint64_t wanted;
+
+  bool Wants(int c) const { return (wanted >> c) & 1; }
+  void Int(int c, int64_t v) {
+    if (Wants(c)) cols[c].AppendInt(v);
+  }
+  void Double(int c, double v) {
+    if (Wants(c)) cols[c].AppendDouble(v);
+  }
+  void Str(int c, const char* v) {
+    if (Wants(c)) cols[c].AppendStr(v);
+  }
+  /// `prefix` followed by `n`, as in "Clerk#17".
+  void Numbered(int c, const char* prefix, int64_t n) {
+    if (Wants(c)) cols[c].AppendStr(prefix + std::to_string(n));
+  }
+  /// A random string of `len` characters, or only the draws it would take.
+  void RandomStr(int c, Random* rng, int len) {
+    if (Wants(c)) {
+      cols[c].AppendStr(rng->NextString(len));
+    } else {
+      rng->Skip(len);
+    }
+  }
+  /// A phone number "CC-555-NNNN". The local number is drawn first; the
+  /// draw order is part of the generated data and must not change.
+  void Phone(int c, Random* rng) {
+    int64_t local = rng->NextInt(1000, 9999);
+    int64_t country = 10 + rng->NextInt(0, 24);
+    if (Wants(c)) {
+      cols[c].AppendStr(std::to_string(country) + "-555-" +
+                        std::to_string(local));
+    }
+  }
+};
 
 const std::vector<std::string>& TpchTableNames() {
   static const std::vector<std::string> kNames = {
@@ -220,21 +269,35 @@ Catalog MakeTpchCatalog(double scale_factor, int num_storage_nodes) {
 
 TpchSplitGenerator::TpchSplitGenerator(std::string table, double scale_factor,
                                        int split_index, int split_count,
-                                       int64_t batch_rows)
-    : table_(std::move(table)),
-      schema_(TpchSchema(table_)),
-      scale_factor_(scale_factor),
-      batch_rows_(batch_rows) {
+                                       int64_t batch_rows,
+                                       std::vector<int> columns)
+    : table_(static_cast<Table>(TableIndex(table))),
+      schema_(TpchSchema(table)),
+      columns_(std::move(columns)),
+      batch_rows_(batch_rows),
+      table_seed_(TableSeed(table)),
+      orders_seed_(TableSeed("orders")),
+      customers_(TpchRowCount("customer", scale_factor)),
+      parts_(TpchRowCount("part", scale_factor)),
+      suppliers_(TpchRowCount("supplier", scale_factor)) {
   ACC_CHECK(split_index >= 0 && split_index < split_count)
       << "bad split " << split_index << "/" << split_count;
-  if (table_ == "lineitem") {
+  if (columns_.empty()) {
+    for (int c = 0; c < schema_.num_columns(); ++c) columns_.push_back(c);
+  }
+  for (int c : columns_) {
+    ACC_CHECK(c >= 0 && c < schema_.num_columns() && !((wanted_ >> c) & 1))
+        << "table " << table << ": bad or repeated channel " << c;
+    wanted_ |= uint64_t{1} << c;
+  }
+  if (table_ == Table::kLineitem) {
     // Partition by order range; derive exact line counts.
-    int64_t orders = TpchRowCount("orders", scale_factor_);
+    int64_t orders = TpchRowCount("orders", scale_factor);
     begin_ = 1 + orders * split_index / split_count;
     end_ = 1 + orders * (split_index + 1) / split_count;
     for (int64_t o = begin_; o < end_; ++o) total_rows_ += LinesPerOrder(o);
   } else {
-    int64_t rows = TpchRowCount(table_, scale_factor_);
+    int64_t rows = TpchRowCount(table, scale_factor);
     begin_ = rows * split_index / split_count;
     end_ = rows * (split_index + 1) / split_count;
     total_rows_ = end_ - begin_;
@@ -244,139 +307,183 @@ TpchSplitGenerator::TpchSplitGenerator(std::string table, double scale_factor,
 
 PagePtr TpchSplitGenerator::NextPage() {
   if (cursor_ >= end_) return nullptr;
-  PageBuilder b(schema_);
+  Builder b{{}, wanted_};
+  b.cols.reserve(schema_.num_columns());
+  for (const auto& def : schema_.columns()) b.cols.emplace_back(def.type);
   int64_t produced = 0;
-  const int64_t customers = TpchRowCount("customer", scale_factor_);
-  const int64_t parts = TpchRowCount("part", scale_factor_);
-  const int64_t suppliers = TpchRowCount("supplier", scale_factor_);
-
   while (cursor_ < end_ && produced < batch_rows_) {
-    if (table_ == "nation") {
-      int64_t i = cursor_++;
-      Random rng = RowRng(table_, i);
-      b.cols[0].AppendInt(i);
-      b.cols[1].AppendStr(kNationNames[i]);
-      b.cols[2].AppendInt(kNationRegion[i]);
-      b.cols[3].AppendStr(rng.NextString(20));
-      ++produced;
-    } else if (table_ == "region") {
-      int64_t i = cursor_++;
-      Random rng = RowRng(table_, i);
-      b.cols[0].AppendInt(i);
-      b.cols[1].AppendStr(kRegionNames[i]);
-      b.cols[2].AppendStr(rng.NextString(20));
-      ++produced;
-    } else if (table_ == "supplier") {
-      int64_t key = ++cursor_;  // 1-based keys
-      Random rng = RowRng(table_, key);
-      b.cols[0].AppendInt(key);
-      b.cols[1].AppendStr("Supplier#" + std::to_string(key));
-      b.cols[2].AppendStr(rng.NextString(15));
-      b.cols[3].AppendInt(rng.NextInt(0, 24));
-      b.cols[4].AppendStr(std::to_string(10 + rng.NextInt(0, 24)) + "-555-" +
-                          std::to_string(rng.NextInt(1000, 9999)));
-      b.cols[5].AppendDouble(rng.NextDouble() * 10000 - 1000);
-      b.cols[6].AppendStr(rng.NextString(25));
-      ++produced;
-    } else if (table_ == "part") {
-      int64_t key = ++cursor_;
-      Random rng = RowRng(table_, key);
-      b.cols[0].AppendInt(key);
-      b.cols[1].AppendStr(std::string(kMaterials[rng.NextInt(0, 4)]) + " " +
-                          rng.NextString(8));
-      b.cols[2].AppendStr("Manufacturer#" + std::to_string(rng.NextInt(1, 5)));
-      b.cols[3].AppendStr("Brand#" + std::to_string(rng.NextInt(11, 55)));
-      b.cols[4].AppendStr(std::string(kTypes[rng.NextInt(0, 5)]) + " " +
-                          kMaterials[rng.NextInt(0, 4)]);
-      b.cols[5].AppendInt(rng.NextInt(1, 50));
-      b.cols[6].AppendStr(kContainers[rng.NextInt(0, 7)]);
-      b.cols[7].AppendDouble(PartRetailPrice(key));
-      b.cols[8].AppendStr(rng.NextString(15));
-      ++produced;
-    } else if (table_ == "partsupp") {
-      int64_t i = cursor_++;
-      Random rng = RowRng(table_, i);
-      // 4 suppliers per part.
-      int64_t partkey = 1 + i / 4;
-      b.cols[0].AppendInt(partkey);
-      b.cols[1].AppendInt(1 + (partkey + (i % 4) * (suppliers / 4 + 1)) %
-                                  suppliers);
-      b.cols[2].AppendInt(rng.NextInt(1, 9999));
-      b.cols[3].AppendDouble(rng.NextDouble() * 1000 + 1);
-      b.cols[4].AppendStr(rng.NextString(20));
-      ++produced;
-    } else if (table_ == "customer") {
-      int64_t key = ++cursor_;
-      Random rng = RowRng(table_, key);
-      b.cols[0].AppendInt(key);
-      b.cols[1].AppendStr("Customer#" + std::to_string(key));
-      b.cols[2].AppendStr(rng.NextString(15));
-      b.cols[3].AppendInt(rng.NextInt(0, 24));
-      b.cols[4].AppendStr(std::to_string(10 + rng.NextInt(0, 24)) + "-555-" +
-                          std::to_string(rng.NextInt(1000, 9999)));
-      b.cols[5].AppendDouble(rng.NextDouble() * 10000 - 1000);
-      b.cols[6].AppendStr(kSegments[rng.NextInt(0, 4)]);
-      b.cols[7].AppendStr(rng.NextString(25));
-      ++produced;
-    } else if (table_ == "orders") {
-      int64_t key = ++cursor_;
-      Random rng = RowRng(table_, key);
-      int64_t orderdate = kStartDate + rng.NextInt(0, kEndDate - kStartDate);
-      b.cols[0].AppendInt(key);
-      b.cols[1].AppendInt(rng.NextInt(1, customers));
-      b.cols[2].AppendStr(orderdate + 90 < ParseDate("1995-06-17") ? "F" : "O");
-      b.cols[3].AppendDouble(1000 + rng.NextDouble() * 450000);
-      b.cols[4].AppendInt(orderdate);
-      b.cols[5].AppendStr(kPriorities[rng.NextInt(0, 4)]);
-      b.cols[6].AppendStr("Clerk#" + std::to_string(rng.NextInt(1, 1000)));
-      b.cols[7].AppendInt(0);
-      b.cols[8].AppendStr(rng.NextString(30));
-      ++produced;
-    } else if (table_ == "lineitem") {
-      int64_t orderkey = cursor_;
-      int64_t nlines = LinesPerOrder(orderkey);
-      if (line_in_order_ >= nlines) {
-        ++cursor_;
-        line_in_order_ = 0;
-        continue;
-      }
-      int64_t line = ++line_in_order_;
-      Random rng = RowRng(table_, orderkey * 8 + line);
-      // Must match the order row's date: re-derive it deterministically.
-      Random order_rng = RowRng("orders", orderkey);
-      int64_t orderdate =
-          kStartDate + order_rng.NextInt(0, kEndDate - kStartDate);
-      int64_t partkey = rng.NextInt(1, parts);
-      double quantity = static_cast<double>(rng.NextInt(1, 50));
-      int64_t shipdate = orderdate + rng.NextInt(1, 121);
-      int64_t commitdate = orderdate + rng.NextInt(30, 90);
-      int64_t receiptdate = shipdate + rng.NextInt(1, 30);
-      const int64_t split_point = ParseDate("1995-06-17");
-      b.cols[0].AppendInt(orderkey);
-      b.cols[1].AppendInt(partkey);
-      b.cols[2].AppendInt(rng.NextInt(1, suppliers));
-      b.cols[3].AppendInt(line);
-      b.cols[4].AppendDouble(quantity);
-      b.cols[5].AppendDouble(quantity * PartRetailPrice(partkey));
-      b.cols[6].AppendDouble(0.01 * rng.NextInt(0, 10));
-      b.cols[7].AppendDouble(0.01 * rng.NextInt(0, 8));
-      b.cols[8].AppendStr(receiptdate <= split_point
-                              ? (rng.NextInt(0, 1) ? "R" : "A")
-                              : "N");
-      b.cols[9].AppendStr(shipdate > split_point ? "O" : "F");
-      b.cols[10].AppendInt(shipdate);
-      b.cols[11].AppendInt(commitdate);
-      b.cols[12].AppendInt(receiptdate);
-      b.cols[13].AppendStr(kShipInstructs[rng.NextInt(0, 3)]);
-      b.cols[14].AppendStr(kShipModes[rng.NextInt(0, 6)]);
-      b.cols[15].AppendStr(rng.NextString(20));
-      ++produced;
-    } else {
-      ACC_CHECK(false) << "unknown table " << table_;
+    switch (table_) {
+      case Table::kNation:
+        AppendNation(&b);
+        break;
+      case Table::kRegion:
+        AppendRegion(&b);
+        break;
+      case Table::kSupplier:
+        AppendSupplier(&b);
+        break;
+      case Table::kPart:
+        AppendPart(&b);
+        break;
+      case Table::kPartsupp:
+        AppendPartsupp(&b);
+        break;
+      case Table::kCustomer:
+        AppendCustomer(&b);
+        break;
+      case Table::kOrders:
+        AppendOrders(&b);
+        break;
+      case Table::kLineitem:
+        if (!AppendLineitem(&b)) continue;
+        break;
     }
+    ++produced;
   }
   if (produced == 0) return nullptr;
-  return b.Finish();
+  std::vector<Column> out;
+  out.reserve(columns_.size());
+  for (int c : columns_) out.push_back(std::move(b.cols[c]));
+  return Page::Make(std::move(out));
+}
+
+void TpchSplitGenerator::AppendNation(Builder* b) {
+  int64_t i = cursor_++;
+  Random rng = RowRng(table_seed_, i);
+  b->Int(0, i);
+  b->Str(1, kNationNames[i]);
+  b->Int(2, kNationRegion[i]);
+  b->RandomStr(3, &rng, 20);
+}
+
+void TpchSplitGenerator::AppendRegion(Builder* b) {
+  int64_t i = cursor_++;
+  Random rng = RowRng(table_seed_, i);
+  b->Int(0, i);
+  b->Str(1, kRegionNames[i]);
+  b->RandomStr(2, &rng, 20);
+}
+
+void TpchSplitGenerator::AppendSupplier(Builder* b) {
+  int64_t key = ++cursor_;  // 1-based keys
+  Random rng = RowRng(table_seed_, key);
+  b->Int(0, key);
+  b->Numbered(1, "Supplier#", key);
+  b->RandomStr(2, &rng, 15);
+  b->Int(3, rng.NextInt(0, 24));
+  b->Phone(4, &rng);
+  b->Double(5, rng.NextDouble() * 10000 - 1000);
+  b->RandomStr(6, &rng, 25);
+}
+
+void TpchSplitGenerator::AppendPart(Builder* b) {
+  int64_t key = ++cursor_;
+  Random rng = RowRng(table_seed_, key);
+  b->Int(0, key);
+  // p_name "<material> <suffix>" and p_type "<type> <material>" draw their
+  // last word first; the draw order is part of the generated data.
+  if (b->Wants(1)) {
+    std::string suffix = rng.NextString(8);
+    const char* material = kMaterials[rng.NextInt(0, 4)];
+    b->cols[1].AppendStr(std::string(material) + " " + suffix);
+  } else {
+    rng.Skip(9);
+  }
+  b->Numbered(2, "Manufacturer#", rng.NextInt(1, 5));
+  b->Numbered(3, "Brand#", rng.NextInt(11, 55));
+  if (b->Wants(4)) {
+    const char* material = kMaterials[rng.NextInt(0, 4)];
+    const char* type = kTypes[rng.NextInt(0, 5)];
+    b->cols[4].AppendStr(std::string(type) + " " + material);
+  } else {
+    rng.Skip(2);
+  }
+  b->Int(5, rng.NextInt(1, 50));
+  b->Str(6, kContainers[rng.NextInt(0, 7)]);
+  b->Double(7, PartRetailPrice(key));
+  b->RandomStr(8, &rng, 15);
+}
+
+void TpchSplitGenerator::AppendPartsupp(Builder* b) {
+  int64_t i = cursor_++;
+  Random rng = RowRng(table_seed_, i);
+  // 4 suppliers per part.
+  int64_t partkey = 1 + i / 4;
+  b->Int(0, partkey);
+  b->Int(1, 1 + (partkey + (i % 4) * (suppliers_ / 4 + 1)) % suppliers_);
+  b->Int(2, rng.NextInt(1, 9999));
+  b->Double(3, rng.NextDouble() * 1000 + 1);
+  b->RandomStr(4, &rng, 20);
+}
+
+void TpchSplitGenerator::AppendCustomer(Builder* b) {
+  int64_t key = ++cursor_;
+  Random rng = RowRng(table_seed_, key);
+  b->Int(0, key);
+  b->Numbered(1, "Customer#", key);
+  b->RandomStr(2, &rng, 15);
+  b->Int(3, rng.NextInt(0, 24));
+  b->Phone(4, &rng);
+  b->Double(5, rng.NextDouble() * 10000 - 1000);
+  b->Str(6, kSegments[rng.NextInt(0, 4)]);
+  b->RandomStr(7, &rng, 25);
+}
+
+void TpchSplitGenerator::AppendOrders(Builder* b) {
+  int64_t key = ++cursor_;
+  Random rng = RowRng(table_seed_, key);
+  int64_t orderdate = kStartDate + rng.NextInt(0, kEndDate - kStartDate);
+  b->Int(0, key);
+  b->Int(1, rng.NextInt(1, customers_));
+  b->Str(2, orderdate + 90 < kStatusDate ? "F" : "O");
+  b->Double(3, 1000 + rng.NextDouble() * 450000);
+  b->Int(4, orderdate);
+  b->Str(5, kPriorities[rng.NextInt(0, 4)]);
+  b->Numbered(6, "Clerk#", rng.NextInt(1, 1000));
+  b->Int(7, 0);
+  b->RandomStr(8, &rng, 30);
+}
+
+bool TpchSplitGenerator::AppendLineitem(Builder* b) {
+  int64_t orderkey = cursor_;
+  if (line_in_order_ >= LinesPerOrder(orderkey)) {
+    ++cursor_;
+    line_in_order_ = 0;
+    return false;
+  }
+  int64_t line = ++line_in_order_;
+  b->Int(0, orderkey);
+  b->Int(3, line);
+  if ((wanted_ & kLineitemDrawnColumns) == 0) return true;
+  Random rng = RowRng(table_seed_, orderkey * 8 + line);
+  int64_t partkey = rng.NextInt(1, parts_);
+  double quantity = static_cast<double>(rng.NextInt(1, 50));
+  int64_t ship_days = rng.NextInt(1, 121);
+  int64_t commit_days = rng.NextInt(30, 90);
+  int64_t receipt_days = rng.NextInt(1, 30);
+  b->Int(1, partkey);
+  b->Int(2, rng.NextInt(1, suppliers_));
+  b->Double(4, quantity);
+  b->Double(5, quantity * PartRetailPrice(partkey));
+  b->Double(6, 0.01 * rng.NextInt(0, 10));
+  b->Double(7, 0.01 * rng.NextInt(0, 8));
+  if ((wanted_ & kLineitemDatedColumns) == 0) return true;
+  // Must match the order row's date: re-derive it deterministically.
+  Random order_rng = RowRng(orders_seed_, orderkey);
+  int64_t orderdate = kStartDate + order_rng.NextInt(0, kEndDate - kStartDate);
+  int64_t shipdate = orderdate + ship_days;
+  int64_t receiptdate = shipdate + receipt_days;
+  // Only received items draw their return flag.
+  b->Str(8, receiptdate <= kStatusDate ? (rng.NextInt(0, 1) ? "R" : "A")
+                                       : "N");
+  b->Str(9, shipdate > kStatusDate ? "O" : "F");
+  b->Int(10, shipdate);
+  b->Int(11, orderdate + commit_days);
+  b->Int(12, receiptdate);
+  b->Str(13, kShipInstructs[rng.NextInt(0, 3)]);
+  b->Str(14, kShipModes[rng.NextInt(0, 6)]);
+  b->RandomStr(15, &rng, 20);
+  return true;
 }
 
 std::vector<PagePtr> GenerateSplit(const std::string& table,

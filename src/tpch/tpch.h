@@ -42,11 +42,19 @@ Catalog MakeTpchCatalog(double scale_factor, int num_storage_nodes);
 
 /// Streaming generator for one split of one table. Thread-compatible
 /// (use one instance per driver).
+///
+/// A generator can be projected onto a subset of the schema's channels:
+/// only those columns are materialized, in the given order. Every row still
+/// consumes the same random draws, so a projected value is byte-identical
+/// to the same value of a full-width scan.
 class TpchSplitGenerator {
  public:
   /// @param batch_rows  rows per produced page (the scan page size).
+  /// @param columns     distinct schema channels to emit, in output order;
+  ///                    empty emits every column.
   TpchSplitGenerator(std::string table, double scale_factor, int split_index,
-                     int split_count, int64_t batch_rows = 1024);
+                     int split_count, int64_t batch_rows = 1024,
+                     std::vector<int> columns = {});
 
   /// Next page of rows, or nullptr when the split is exhausted.
   PagePtr NextPage();
@@ -57,10 +65,40 @@ class TpchSplitGenerator {
   const TableSchema& schema() const { return schema_; }
 
  private:
-  std::string table_;
+  // In TpchTableNames() order.
+  enum class Table {
+    kNation,
+    kRegion,
+    kSupplier,
+    kPart,
+    kPartsupp,
+    kCustomer,
+    kOrders,
+    kLineitem
+  };
+  struct Builder;
+
+  void AppendNation(Builder* b);
+  void AppendRegion(Builder* b);
+  void AppendSupplier(Builder* b);
+  void AppendPart(Builder* b);
+  void AppendPartsupp(Builder* b);
+  void AppendCustomer(Builder* b);
+  void AppendOrders(Builder* b);
+  /// Appends the next line item; false when it only advanced to the next
+  /// order.
+  bool AppendLineitem(Builder* b);
+
+  Table table_;
   TableSchema schema_;
-  double scale_factor_;
+  std::vector<int> columns_;  // output channels (never empty)
+  uint64_t wanted_ = 0;       // bit c set when schema channel c is emitted
   int64_t batch_rows_;
+  uint64_t table_seed_;
+  uint64_t orders_seed_;
+  int64_t customers_;
+  int64_t parts_;
+  int64_t suppliers_;
   // Row-range tables: [row_begin_, row_end_). Lineitem: order range.
   int64_t begin_ = 0;
   int64_t end_ = 0;

@@ -37,6 +37,58 @@ int64_t SingleInt(const std::vector<PagePtr>& pages) {
   return -1;
 }
 
+// Drains `split` from the cluster's storage tier; `*nic_bytes` receives
+// what the reader's NIC was charged.
+std::vector<PagePtr> ReadSplit(AccordionCluster* cluster,
+                               const SystemSplit& split, double* nic_bytes) {
+  ResourceGovernor reader_nic("reader.nic", 1e18, 1e18);
+  auto source = cluster->storage()->OpenSplit(split, &reader_nic);
+  std::vector<PagePtr> pages;
+  while (PagePtr page = source->Next()) pages.push_back(page);
+  *nic_bytes = reader_nic.TotalConsumed();
+  return pages;
+}
+
+TEST(ClusterTest, StorageShipsOnlyProjectedColumns) {
+  for (double null_rate : {0.0, 0.3}) {
+    SCOPED_TRACE("null rate " + std::to_string(null_rate));
+    auto options = FastOptions();
+    options.engine.null_injection_rate = null_rate;
+    options.engine.null_injection_seed = 7;
+    AccordionCluster cluster(options);
+    const std::vector<int> columns = {10, 0};  // l_shipdate, l_orderkey
+    SystemSplit split{"lineitem", 3, 28, 0, kSf, columns};
+    double nic_bytes = 0;
+    std::vector<PagePtr> pages = ReadSplit(&cluster, split, &nic_bytes);
+
+    // Reference: full rows, NULL injection on the full row, then project.
+    std::vector<PagePtr> full = GenerateSplit(
+        "lineitem", kSf, 3, 28, cluster.engine_config().batch_rows);
+    ASSERT_EQ(pages.size(), full.size());
+    double projected_bytes = 0;
+    for (size_t p = 0; p < pages.size(); ++p) {
+      PagePtr want = InjectNulls(full[p], null_rate, 7);
+      ASSERT_EQ(pages[p]->num_columns(), 2);
+      ASSERT_EQ(pages[p]->num_rows(), want->num_rows());
+      for (int k = 0; k < 2; ++k) {
+        for (int64_t r = 0; r < want->num_rows(); ++r) {
+          ASSERT_EQ(pages[p]->column(k).ValueAt(r),
+                    want->column(columns[k]).ValueAt(r));
+        }
+      }
+      projected_bytes += static_cast<double>(pages[p]->ByteSize());
+    }
+    // The NIC carries the projected pages, not the full rows.
+    EXPECT_DOUBLE_EQ(nic_bytes, projected_bytes);
+
+    split.columns.clear();  // no projection: every column
+    std::vector<PagePtr> wide = ReadSplit(&cluster, split, &nic_bytes);
+    ASSERT_EQ(wide.size(), full.size());
+    EXPECT_EQ(wide[0]->num_columns(), 16);
+    EXPECT_GT(nic_bytes, 2 * projected_bytes);
+  }
+}
+
 TEST(ClusterTest, GlobalCountOverScan) {
   AccordionCluster cluster(FastOptions());
   Catalog catalog = MakeTpchCatalog(kSf, 4);
@@ -168,6 +220,74 @@ TEST(ClusterTest, DopSwitchOnPartitionedJoinKeepsCountExact) {
 
   auto snapshot = cluster.coordinator()->Snapshot(*submitted);
   EXPECT_EQ(snapshot->stage(1)->dop, 4);
+}
+
+TEST(ClusterTest, DopSwitchReleasesRetiredTasks) {
+  auto options = FastOptions();
+  options.engine.cost.scale = 1.0;
+  AccordionCluster cluster(options);
+  Coordinator* coordinator = cluster.coordinator();
+  auto submitted = coordinator->Submit(TpchQ2JPlan(coordinator->catalog()));
+  ASSERT_TRUE(submitted.ok());
+  auto first = coordinator->Snapshot(*submitted);
+  ASSERT_TRUE(first.ok());
+  int join_stage = -1;
+  int lineitem_stage = -1;
+  for (const auto& stage : first->stages) {
+    if (stage.has_join) join_stage = stage.stage_id;
+    if (stage.scan_table == "lineitem") lineitem_stage = stage.stage_id;
+  }
+  ASSERT_GE(join_stage, 0);
+  ASSERT_GE(lineitem_stage, 0);
+
+  // Join stage 1 -> 2 -> 4 (DOP switches) while the lineitem scan grows
+  // to 3 tasks and shrinks back to 1: both retire tasks mid-query.
+  SleepForMillis(200);
+  ASSERT_TRUE(coordinator->SetStageDop(*submitted, join_stage, 2).ok());
+  ASSERT_TRUE(coordinator->SetStageDop(*submitted, lineitem_stage, 3).ok());
+  SleepForMillis(100);
+  ASSERT_TRUE(coordinator->SetStageDop(*submitted, join_stage, 4).ok());
+  ASSERT_TRUE(coordinator->SetStageDop(*submitted, lineitem_stage, 1).ok());
+
+  auto result = coordinator->Wait(*submitted, 180000);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(SingleInt(*result), ExactLineitemRows(kSf));
+  auto at_finish = coordinator->Snapshot(*submitted);
+  ASSERT_TRUE(at_finish.ok());
+
+  // Workers end up hosting only the active tasks.
+  int active = 0;
+  for (const auto& stage : at_finish->stages) active += stage.dop;
+  EXPECT_EQ(active, 1 + 4 + 1 + 1);
+  auto hosted = [&] {
+    int tasks = 0;
+    for (int w = 0; w < options.num_workers; ++w) {
+      tasks += cluster.worker(w)->NumTasks();
+    }
+    return tasks;
+  };
+  Stopwatch watch;
+  while (hosted() > active && watch.ElapsedMillis() < 10000) {
+    SleepForMillis(10);
+  }
+  EXPECT_EQ(hosted(), active);
+
+  // Released tasks still count in the stage totals.
+  auto released = coordinator->Snapshot(*submitted);
+  ASSERT_TRUE(released.ok());
+  ASSERT_EQ(released->stages.size(), at_finish->stages.size());
+  for (size_t i = 0; i < released->stages.size(); ++i) {
+    const StageSnapshot& a = at_finish->stages[i];
+    const StageSnapshot& b = released->stages[i];
+    EXPECT_EQ(b.output_rows, a.output_rows) << "stage " << a.stage_id;
+    EXPECT_EQ(b.output_bytes, a.output_bytes) << "stage " << a.stage_id;
+    EXPECT_EQ(b.processed_rows, a.processed_rows) << "stage " << a.stage_id;
+    EXPECT_EQ(b.scan_rows, a.scan_rows) << "stage " << a.stage_id;
+  }
+  const StageSnapshot* scan = released->stage(lineitem_stage);
+  EXPECT_EQ(scan->scan_rows, ExactLineitemRows(kSf));
+  EXPECT_EQ(scan->scan_total_rows, ExactLineitemRows(kSf));
+  EXPECT_EQ(released->stage(join_stage)->dop, 4);
 }
 
 TEST(ClusterTest, FinalStageDopChangeIsRejected) {

@@ -38,6 +38,45 @@ TEST(PlanBuilderTest, FullScanIsIdentity) {
   EXPECT_EQ(rel.node->kind(), PlanNodeKind::kTableScan);
 }
 
+// Every TableScan node below `node`, in plan order.
+void CollectScans(const PlanNodePtr& node,
+                  std::vector<const TableScanNode*>* out) {
+  if (node->kind() == PlanNodeKind::kTableScan) {
+    out->push_back(static_cast<const TableScanNode*>(node.get()));
+  }
+  for (const auto& child : node->children()) CollectScans(child, out);
+}
+
+TEST(PlanBuilderTest, ScansEmitOnlyReferencedColumns) {
+  Catalog catalog = TestCatalog();
+  std::vector<const TableScanNode*> scans;
+  PlanNodePtr q6 = TpchQueryPlan(6, catalog);
+  CollectScans(q6, &scans);
+  ASSERT_EQ(scans.size(), 1u);
+  EXPECT_EQ(scans[0]->table(), "lineitem");
+  EXPECT_EQ(scans[0]->column_names(),
+            (std::vector<std::string>{"l_quantity", "l_extendedprice",
+                                      "l_discount", "l_shipdate"}));
+  EXPECT_EQ(scans[0]->columns(), (std::vector<int>{4, 5, 6, 10}));
+  EXPECT_EQ(scans[0]->output_types(),
+            (std::vector<DataType>{DataType::kDouble, DataType::kDouble,
+                                   DataType::kDouble, DataType::kDate}));
+
+  scans.clear();
+  PlanNodePtr q2j = TpchQ2JPlan(catalog);
+  CollectScans(q2j, &scans);
+  ASSERT_EQ(scans.size(), 2u);
+  for (const TableScanNode* scan : scans) {
+    ASSERT_EQ(scan->columns(), std::vector<int>{0}) << scan->table();
+    EXPECT_EQ(scan->output_types(), std::vector<DataType>{DataType::kInt64});
+  }
+  EXPECT_EQ(scans[0]->column_names()[0], "l_orderkey");
+  EXPECT_EQ(scans[1]->column_names()[0], "o_orderkey");
+  // The text plan names the columns each scan reads.
+  EXPECT_NE(q2j->ToString().find("TableScan(lineitem) columns=[l_orderkey]"),
+            std::string::npos);
+}
+
 TEST(PlanBuilderTest, JoinCreatesExchangesAndLocalExchange) {
   Catalog catalog = TestCatalog();
   PlanBuilder b(&catalog);

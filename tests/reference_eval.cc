@@ -118,10 +118,14 @@ class ReferenceEvaluator {
     out.types = scan.output_types();
     for (const auto& page : GenerateSplit(scan.table(), sf_, 0, 1, 4096)) {
       // Same content-keyed nullification the engine's storage layer
-      // applies under EngineConfig::null_injection_rate.
+      // applies under EngineConfig::null_injection_rate: on the full row,
+      // before projecting onto the scan's columns.
       PagePtr data = InjectNulls(page, null_rate_, null_seed_);
       for (int64_t r = 0; r < data->num_rows(); ++r) {
-        out.rows.push_back(RowOf(*data, r));
+        std::vector<Value> row;
+        row.reserve(scan.columns().size());
+        for (int c : scan.columns()) row.push_back(data->column(c).ValueAt(r));
+        out.rows.push_back(std::move(row));
       }
     }
     return out;

@@ -531,6 +531,28 @@ TEST(SessionTest, ExplainJsonCarriesStagesAndOptimizerReport) {
   EXPECT_EQ(json->find('\n'), std::string::npos);
 }
 
+TEST(SessionTest, ExplainNamesTheColumnsEachScanReads) {
+  AccordionCluster cluster(FastOptions());
+  Session session(cluster.coordinator());
+  const std::string sql =
+      "SELECT count(l_orderkey) AS n FROM lineitem INNER JOIN orders ON "
+      "l_orderkey = o_orderkey";
+  auto text = session.Explain(sql);
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  EXPECT_NE(text->find("TableScan(lineitem) columns=[l_orderkey]"),
+            std::string::npos);
+  EXPECT_NE(text->find("TableScan(orders) columns=[o_orderkey]"),
+            std::string::npos);
+  ExplainOptions json_options;
+  json_options.format = ExplainFormat::kJson;
+  auto json = session.Explain(sql, json_options);
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  EXPECT_NE(json->find("\"node\":\"TableScan(lineitem)\",\"kind\":\"TableScan\","
+                       "\"columns\":[\"l_orderkey\"]"),
+            std::string::npos);
+  EXPECT_NE(json->find("\"columns\":[\"o_orderkey\"]"), std::string::npos);
+}
+
 TEST(SessionTest, ExplainJsonForHandBuiltPlanOmitsReport) {
   AccordionCluster cluster(FastOptions());
   Session session(cluster.coordinator());

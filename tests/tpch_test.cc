@@ -4,6 +4,7 @@
 #include <set>
 
 #include "catalog/catalog.h"
+#include "common/random.h"
 #include "storage/csv.h"
 #include "storage/page_source.h"
 #include "tpch/tpch.h"
@@ -156,6 +157,119 @@ TEST(TpchTest, MarketSegmentsFromDomain) {
   }
   EXPECT_EQ(segments.size(), 5u);
   EXPECT_TRUE(segments.count("BUILDING"));
+}
+
+// One row as "v0|v1|...", doubles with all 17 significant digits.
+std::string RowText(const Page& page, int64_t r) {
+  std::string out;
+  for (int c = 0; c < page.num_columns(); ++c) {
+    if (c > 0) out += "|";
+    const Column& col = page.column(c);
+    if (col.type() == DataType::kDouble) {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%.17g", col.DoubleAt(r));
+      out += buf;
+    } else {
+      out += col.ValueAt(r).ToString();
+    }
+  }
+  return out;
+}
+
+TEST(TpchTest, GoldenRowsAreStable) {
+  // Reference rows of the generated data. Phone numbers, part names and
+  // part types take two draws each, sequenced in the generator, so these
+  // bytes must not depend on the compiler's operand evaluation order.
+  struct Golden {
+    const char* table;
+    int64_t row;
+    const char* text;
+  };
+  const Golden kGolden[] = {
+      {"supplier", 0,
+       "1|Supplier#1|dyoojqpxkrfbakm|12|10-555-4549|1695.6410141047227|"
+       "cxhpmbrttmimgyhrfuthgsaut"},
+      {"supplier", 1,
+       "2|Supplier#2|tiffknxwdlfsdqp|19|15-555-5250|2550.1905352358608|"
+       "zcfqefmsfuweiijxryngfiilz"},
+      {"supplier", 57,
+       "58|Supplier#58|kfafdiwgmshrbii|12|24-555-8345|4769.1582610619089|"
+       "urrxhamaquhbydqzoqhwkipbo"},
+      {"customer", 0,
+       "1|Customer#1|nxrkkhaaxwqvugz|4|27-555-5445|661.83555166847577|"
+       "AUTOMOBILE|zgurlorwdqyaozhbydcukwldy"},
+      {"customer", 1,
+       "2|Customer#2|azzxokyazgnmokd|21|17-555-6703|5782.6634433253012|"
+       "AUTOMOBILE|zwprwepkfffpnvxvrohjgiwrw"},
+      {"customer", 57,
+       "58|Customer#58|ygpjwfslakauqlq|23|10-555-7262|5346.0378521388129|"
+       "AUTOMOBILE|hxafsqbvurkdikvznzbgxqsps"},
+      {"part", 0,
+       "1|BRASS vanndxql|Manufacturer#5|Brand#32|STANDARD ANODIZED BRASS|47|"
+       "MED BAG|901.00999999999999|vvlprljiecnhguc"},
+      {"part", 1,
+       "2|BRASS lserzrsv|Manufacturer#1|Brand#45|ECONOMY BURNISHED NICKEL|13|"
+       "SM BOX|902.01999999999998|xxzfzuoqvbbuwqa"},
+      {"part", 57,
+       "58|TIN msmwpefi|Manufacturer#4|Brand#16|PROMO ANODIZED STEEL|42|"
+       "JUMBO PACK|958.58000000000004|qvbcqpepvulyeth"},
+  };
+  for (const Golden& g : kGolden) {
+    auto pages = GenerateSplit(g.table, kSf, 0, 1);
+    ASSERT_FALSE(pages.empty());
+    EXPECT_EQ(RowText(*pages[0], g.row), g.text) << g.table << " row " << g.row;
+  }
+}
+
+TEST(TpchTest, ProjectedGeneratorEqualsProjectedFullRows) {
+  // Seeded property: for every table, a random column subset in random
+  // order, generated directly, equals the full-width rows projected onto
+  // it — for every split shape and page size.
+  Random rng(20251017);
+  for (const std::string& table : TpchTableNames()) {
+    const int width = TpchSchema(table).num_columns();
+    for (int split_count : {1, 3, 7}) {
+      for (int64_t batch_rows : {1, 256, 1024}) {
+        std::vector<int> columns;
+        while (columns.empty()) {
+          for (int c = 0; c < width; ++c) {
+            if (rng.NextInt(0, 1) == 1) columns.push_back(c);
+          }
+        }
+        for (size_t i = columns.size(); i > 1; --i) {
+          std::swap(columns[i - 1], columns[rng.NextInt(0, i - 1)]);
+        }
+        for (int split = 0; split < split_count; ++split) {
+          SCOPED_TRACE(table + " split " + std::to_string(split) + "/" +
+                       std::to_string(split_count) + " batch " +
+                       std::to_string(batch_rows));
+          TpchSplitGenerator full(table, kSf, split, split_count, batch_rows);
+          TpchSplitGenerator projected(table, kSf, split, split_count,
+                                       batch_rows, columns);
+          EXPECT_EQ(projected.TotalRows(), full.TotalRows());
+          int64_t rows = 0;
+          while (PagePtr want = full.NextPage()) {
+            PagePtr got = projected.NextPage();
+            ASSERT_NE(got, nullptr);
+            ASSERT_EQ(got->num_rows(), want->num_rows());
+            ASSERT_EQ(got->num_columns(), static_cast<int>(columns.size()));
+            for (size_t k = 0; k < columns.size(); ++k) {
+              const Column& a = got->column(static_cast<int>(k));
+              const Column& b = want->column(columns[k]);
+              ASSERT_EQ(a.type(), b.type());
+              for (int64_t r = 0; r < want->num_rows(); ++r) {
+                ASSERT_EQ(a.ValueAt(r), b.ValueAt(r))
+                    << "column " << columns[k] << " row " << rows + r;
+              }
+            }
+            rows += want->num_rows();
+          }
+          EXPECT_EQ(projected.NextPage(), nullptr);
+          EXPECT_EQ(rows, full.TotalRows());
+        }
+      }
+    }
+  }
 }
 
 TEST(CsvTest, RoundTripThroughDisk) {
