@@ -1,7 +1,7 @@
 // End-to-end TPC-H through the Session front door: all 12 queries run via
 // Session::Execute from their TpchQuerySql text (the SQL subset covers
-// the whole suite; the hand-built plan library remains the fallback for
-// queries without SQL), with results streamed through a ResultCursor.
+// the whole suite; a query without SQL text is an error), with results
+// streamed through a ResultCursor.
 // Machine-readable timings land in BENCH_e2e.json (override the path
 // with ACCORDION_BENCH_JSON).
 //
@@ -48,12 +48,11 @@ int main(int argc, char** argv) {
       "Session API acceptance run (SF0.01 + cost model), optimizer " + mode;
   bench::PrintHeader(
       "End-to-end TPC-H, 12 queries through Session::Execute "
-      "(SQL text where expressible) with cursor-streamed results",
+      "(SQL text) with cursor-streamed results",
       ref.c_str());
 
   struct Row {
     int q;
-    const char* frontend;
     const char* optimizer;
     double seconds;
     int64_t rows;
@@ -77,10 +76,12 @@ int main(int argc, char** argv) {
       Session session(cluster.coordinator(), session_options);
 
       std::string sql = TpchQuerySql(q);
+      if (sql.empty()) {
+        std::fprintf(stderr, "Q%d has no SQL text\n", q);
+        return 1;
+      }
       Stopwatch sw;
-      auto query = sql.empty()
-                       ? session.Execute(TpchQueryPlan(q, session.catalog()))
-                       : session.Execute(sql);
+      auto query = session.Execute(sql);
       if (!query.ok()) {
         std::fprintf(stderr, "Q%d submit failed: %s\n", q,
                      query.status().ToString().c_str());
@@ -95,14 +96,13 @@ int main(int argc, char** argv) {
       }
       Row row;
       row.q = q;
-      row.frontend = sql.empty() ? "plan" : "sql";
       row.optimizer = run;
       row.seconds = sw.ElapsedSeconds();
       row.rows = cursor.rows_seen();
       row.pages = cursor.pages_seen();
       rows.push_back(row);
-      std::printf("Q%-5d  %-8s  %-9s  %10.3f  %8lld  %7lld\n", q,
-                  row.frontend, row.optimizer, row.seconds,
+      std::printf("Q%-5d  %-8s  %-9s  %10.3f  %8lld  %7lld\n", q, "sql",
+                  row.optimizer, row.seconds,
                   static_cast<long long>(row.rows),
                   static_cast<long long>(row.pages));
     }
@@ -134,10 +134,10 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
     std::fprintf(out,
-                 "    {\"query\": %d, \"frontend\": \"%s\", "
+                 "    {\"query\": %d, \"frontend\": \"sql\", "
                  "\"optimizer\": \"%s\", \"seconds\": %.6f, "
                  "\"rows\": %lld, \"pages\": %lld}%s\n",
-                 row.q, row.frontend, row.optimizer, row.seconds,
+                 row.q, row.optimizer, row.seconds,
                  static_cast<long long>(row.rows),
                  static_cast<long long>(row.pages),
                  i + 1 < rows.size() ? "," : "");

@@ -277,7 +277,7 @@ void BM_BufferHandoff(benchmark::State& state) {
   bool elastic = state.range(0) == 1;
   EngineConfig config;
   config.elastic_buffers = elastic;
-  config.fixed_buffer_bytes = 1 << 16;
+  config.memory.fixed_buffer_bytes = 1 << 16;
   ResourceGovernor cpu("bench.cpu", 1e9, 1e9);
   ResourceGovernor nic("bench.nic", 1e12, 1e12);
   TaskContext ctx("bench", &cpu, &nic, &config);

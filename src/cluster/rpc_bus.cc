@@ -25,13 +25,6 @@ int RpcBus::num_workers() const {
   return static_cast<int>(workers_.size());
 }
 
-void RpcBus::SimulateLatency() {
-  ++requests_;
-  if (config_->rpc_latency_ms > 0) {
-    SleepForMicros(static_cast<int64_t>(config_->rpc_latency_ms * 1000));
-  }
-}
-
 void RpcBus::CrashWorker(int worker_id) {
   WorkerNode* w = nullptr;
   {
@@ -69,8 +62,11 @@ void RpcBus::RecordFault(const std::string& query_id, bool crash) {
 
 RpcBus::CallFate RpcBus::Intercept(const char* site, int worker_id,
                                    const std::string& query_id) {
-  SimulateLatency();
+  ++requests_;
   CallFate fate;
+  if (config_->rpc_latency_ms > 0) {
+    fate.delay_us = static_cast<int64_t>(config_->rpc_latency_ms * 1000);
+  }
   if (!WorkerAlive(worker_id)) {
     fate.pre = Status::Unavailable("worker " + std::to_string(worker_id) +
                                    " is down")
@@ -89,7 +85,7 @@ RpcBus::CallFate RpcBus::Intercept(const char* site, int worker_id,
       return fate;
     case FaultKind::kAddedLatency:
       if (decision.latency_ms > 0) {
-        SleepForMicros(static_cast<int64_t>(decision.latency_ms * 1000));
+        fate.delay_us += static_cast<int64_t>(decision.latency_ms * 1000);
       }
       return fate;
     case FaultKind::kDropResponse:
@@ -105,45 +101,10 @@ RpcBus::CallFate RpcBus::Intercept(const char* site, int worker_id,
   return fate;
 }
 
-RpcBus::CallFate RpcBus::InterceptDeferred(const char* site, int worker_id,
-                                           const std::string& query_id,
-                                           int64_t* delay_us) {
-  ++requests_;
-  if (config_->rpc_latency_ms > 0) {
-    *delay_us += static_cast<int64_t>(config_->rpc_latency_ms * 1000);
-  }
-  CallFate fate;
-  if (!WorkerAlive(worker_id)) {
-    fate.pre = Status::Unavailable("worker " + std::to_string(worker_id) +
-                                   " is down")
-                   .WithContext(site);
-    return fate;
-  }
-  FaultInjector* injector = config_->fault_injector;
-  if (injector == nullptr || !injector->enabled()) return fate;
-  FaultDecision decision = injector->Decide(site);
-  if (!decision.fault) return fate;
-  RecordFault(query_id, decision.kind == FaultKind::kWorkerCrash);
-  switch (decision.kind) {
-    case FaultKind::kTransientError:
-      fate.pre = Status::Unavailable("injected transient error")
-                     .WithContext(site);
-      return fate;
-    case FaultKind::kAddedLatency:
-      if (decision.latency_ms > 0) {
-        *delay_us += static_cast<int64_t>(decision.latency_ms * 1000);
-      }
-      return fate;
-    case FaultKind::kDropResponse:
-      fate.drop = true;
-      return fate;
-    case FaultKind::kWorkerCrash:
-      CrashWorker(worker_id);
-      fate.pre = Status::Unavailable("worker " + std::to_string(worker_id) +
-                                     " crashed (injected)")
-                     .WithContext(site);
-      return fate;
-  }
+RpcBus::CallFate RpcBus::InterceptControl(const char* site, int worker_id,
+                                          const std::string& query_id) {
+  CallFate fate = Intercept(site, worker_id, query_id);
+  SleepForMicros(fate.delay_us);
   return fate;
 }
 
@@ -163,7 +124,8 @@ Status NoTask(const TaskId& task) {
 
 Status RpcBus::ScheduleTask(int worker_id, TaskSpec spec,
                             NextSplitFn next_split) {
-  CallFate fate = Intercept("rpc.ScheduleTask", worker_id, spec.id.query_id);
+  CallFate fate =
+      InterceptControl("rpc.ScheduleTask", worker_id, spec.id.query_id);
   if (!fate.pre.ok()) return fate.pre;
   WorkerNode* w = worker(worker_id);
   if (w == nullptr) return NoWorker(worker_id);
@@ -172,7 +134,7 @@ Status RpcBus::ScheduleTask(int worker_id, TaskSpec spec,
 }
 
 Status RpcBus::StartTask(int worker_id, const TaskId& task) {
-  CallFate fate = Intercept("rpc.StartTask", worker_id, task.query_id);
+  CallFate fate = InterceptControl("rpc.StartTask", worker_id, task.query_id);
   if (!fate.pre.ok()) return fate.pre;
   WorkerNode* w = worker(worker_id);
   if (w == nullptr) return NoWorker(worker_id);
@@ -185,7 +147,8 @@ Status RpcBus::StartTask(int worker_id, const TaskId& task) {
 Status RpcBus::AddRemoteSplits(int worker_id, const TaskId& task,
                                int source_stage,
                                const std::vector<RemoteSplit>& splits) {
-  CallFate fate = Intercept("rpc.AddRemoteSplits", worker_id, task.query_id);
+  CallFate fate =
+      InterceptControl("rpc.AddRemoteSplits", worker_id, task.query_id);
   if (!fate.pre.ok()) return fate.pre;
   WorkerNode* w = worker(worker_id);
   if (w == nullptr) return NoWorker(worker_id);
@@ -196,7 +159,7 @@ Status RpcBus::AddRemoteSplits(int worker_id, const TaskId& task,
 }
 
 Status RpcBus::SetTaskDop(int worker_id, const TaskId& task, int dop) {
-  CallFate fate = Intercept("rpc.SetTaskDop", worker_id, task.query_id);
+  CallFate fate = InterceptControl("rpc.SetTaskDop", worker_id, task.query_id);
   if (!fate.pre.ok()) return fate.pre;
   WorkerNode* w = worker(worker_id);
   if (w == nullptr) return NoWorker(worker_id);
@@ -207,7 +170,8 @@ Status RpcBus::SetTaskDop(int worker_id, const TaskId& task, int dop) {
 }
 
 Status RpcBus::SetConsumerCount(int worker_id, const TaskId& task, int count) {
-  CallFate fate = Intercept("rpc.SetConsumerCount", worker_id, task.query_id);
+  CallFate fate =
+      InterceptControl("rpc.SetConsumerCount", worker_id, task.query_id);
   if (!fate.pre.ok()) return fate.pre;
   WorkerNode* w = worker(worker_id);
   if (w == nullptr) return NoWorker(worker_id);
@@ -219,7 +183,8 @@ Status RpcBus::SetConsumerCount(int worker_id, const TaskId& task, int count) {
 
 Status RpcBus::EndSignalOutput(int worker_id, const TaskId& task,
                                int buffer_id) {
-  CallFate fate = Intercept("rpc.EndSignalOutput", worker_id, task.query_id);
+  CallFate fate =
+      InterceptControl("rpc.EndSignalOutput", worker_id, task.query_id);
   if (!fate.pre.ok()) return fate.pre;
   WorkerNode* w = worker(worker_id);
   if (w == nullptr) return NoWorker(worker_id);
@@ -230,7 +195,8 @@ Status RpcBus::EndSignalOutput(int worker_id, const TaskId& task,
 }
 
 Status RpcBus::SignalEndSources(int worker_id, const TaskId& task) {
-  CallFate fate = Intercept("rpc.SignalEndSources", worker_id, task.query_id);
+  CallFate fate =
+      InterceptControl("rpc.SignalEndSources", worker_id, task.query_id);
   if (!fate.pre.ok()) return fate.pre;
   WorkerNode* w = worker(worker_id);
   if (w == nullptr) return NoWorker(worker_id);
@@ -241,7 +207,7 @@ Status RpcBus::SignalEndSources(int worker_id, const TaskId& task) {
 }
 
 Status RpcBus::AbortTask(int worker_id, const TaskId& task) {
-  CallFate fate = Intercept("rpc.AbortTask", worker_id, task.query_id);
+  CallFate fate = InterceptControl("rpc.AbortTask", worker_id, task.query_id);
   if (!fate.pre.ok()) return fate.pre;
   WorkerNode* w = worker(worker_id);
   if (w == nullptr) return NoWorker(worker_id);
@@ -253,7 +219,8 @@ Status RpcBus::AbortTask(int worker_id, const TaskId& task) {
 
 Status RpcBus::AddOutputTaskGroup(int worker_id, const TaskId& task, int count,
                                   int first_buffer_id) {
-  CallFate fate = Intercept("rpc.AddOutputTaskGroup", worker_id, task.query_id);
+  CallFate fate =
+      InterceptControl("rpc.AddOutputTaskGroup", worker_id, task.query_id);
   if (!fate.pre.ok()) return fate.pre;
   WorkerNode* w = worker(worker_id);
   if (w == nullptr) return NoWorker(worker_id);
@@ -264,8 +231,8 @@ Status RpcBus::AddOutputTaskGroup(int worker_id, const TaskId& task, int count,
 }
 
 Status RpcBus::SwitchOutputToNewestGroup(int worker_id, const TaskId& task) {
-  CallFate fate =
-      Intercept("rpc.SwitchOutputToNewestGroup", worker_id, task.query_id);
+  CallFate fate = InterceptControl("rpc.SwitchOutputToNewestGroup",
+                                   worker_id, task.query_id);
   if (!fate.pre.ok()) return fate.pre;
   WorkerNode* w = worker(worker_id);
   if (w == nullptr) return NoWorker(worker_id);
@@ -277,9 +244,11 @@ Status RpcBus::SwitchOutputToNewestGroup(int worker_id, const TaskId& task) {
 
 Result<PagesResult> RpcBus::GetPages(const RemoteSplit& split, int buffer_id,
                                      int64_t start_sequence, int max_pages,
-                                     ResourceGovernor* consumer_nic) {
+                                     ResourceGovernor* consumer_nic,
+                                     int64_t* ready_at_us) {
   CallFate fate =
       Intercept("rpc.GetPages", split.worker_id, split.task.query_id);
+  *ready_at_us = NowMicros() + fate.delay_us;
   if (!fate.pre.ok()) return fate.pre;
   WorkerNode* w = worker(split.worker_id);
   if (w == nullptr) {
@@ -298,50 +267,14 @@ Result<PagesResult> RpcBus::GetPages(const RemoteSplit& split, int buffer_id,
   int64_t bytes = result.TotalBytes();
   if (bytes > 0) {
     // Producer uplink and consumer downlink both carry the pages — also
-    // for dropped responses: the bytes were on the wire.
-    w->nic()->Consume(static_cast<double>(bytes));
-    if (consumer_nic != nullptr && consumer_nic != w->nic()) {
-      consumer_nic->Consume(static_cast<double>(bytes));
-    }
-  }
-  Status drop = FinishCall(fate, "rpc.GetPages");
-  if (!drop.ok()) return drop;
-  return result;
-}
-
-Result<PagesResult> RpcBus::GetPagesDeferred(const RemoteSplit& split,
-                                             int buffer_id,
-                                             int64_t start_sequence,
-                                             int max_pages,
-                                             ResourceGovernor* consumer_nic,
-                                             int64_t* ready_at_us) {
-  int64_t delay_us = 0;
-  CallFate fate = InterceptDeferred("rpc.GetPages", split.worker_id,
-                                    split.task.query_id, &delay_us);
-  *ready_at_us = NowMicros() + delay_us;
-  if (!fate.pre.ok()) return fate.pre;
-  WorkerNode* w = worker(split.worker_id);
-  if (w == nullptr) {
-    return Status::Unavailable("no worker " + std::to_string(split.worker_id))
-        .WithContext("rpc.GetPages");
-  }
-  std::shared_ptr<Task> t = w->GetTask(split.task);
-  if (t == nullptr) {
-    return Status::Unavailable("no task " + split.task.ToString())
-        .WithContext("rpc.GetPages");
-  }
-  PagesResult result = t->GetPages(buffer_id, start_sequence, max_pages);
-  int64_t bytes = result.TotalBytes();
-  if (bytes > 0) {
-    // Producer uplink and consumer downlink both carry the pages — also
-    // for dropped responses: the bytes were on the wire. Reserved, not
-    // blocked on: the grant time pushes out the response arrival.
+    // for dropped responses: the bytes were on the wire. The later grant
+    // pushes out the response arrival.
     int64_t grant_us = w->nic()->ReserveMicros(static_cast<double>(bytes));
     if (consumer_nic != nullptr && consumer_nic != w->nic()) {
       grant_us = std::max(
           grant_us, consumer_nic->ReserveMicros(static_cast<double>(bytes)));
     }
-    *ready_at_us = std::max(*ready_at_us, grant_us + delay_us);
+    *ready_at_us = std::max(*ready_at_us, grant_us + fate.delay_us);
   }
   Status drop = FinishCall(fate, "rpc.GetPages");
   if (!drop.ok()) return drop;
@@ -350,7 +283,7 @@ Result<PagesResult> RpcBus::GetPagesDeferred(const RemoteSplit& split,
 
 std::optional<TaskInfo> RpcBus::GetTaskInfo(int worker_id,
                                             const TaskId& task) {
-  CallFate fate = Intercept("rpc.GetTaskInfo", worker_id, task.query_id);
+  CallFate fate = InterceptControl("rpc.GetTaskInfo", worker_id, task.query_id);
   if (!fate.pre.ok() || fate.drop) return std::nullopt;
   WorkerNode* w = worker(worker_id);
   if (w == nullptr) return std::nullopt;

@@ -24,13 +24,17 @@ struct QueryFaultStats {
 };
 
 /// In-process message bus standing in for the RESTful RPC layer of the
-/// paper's cluster. Every call sleeps the configured per-request latency
+/// paper's cluster. Every call costs the configured per-request latency
 /// (paper: each RESTful request takes 1–10 ms) and increments the global
 /// request counter (the paper reports, e.g., "the initial query plan
 /// construction for Q3 involves 65 RESTful requests").
 ///
-/// Page transfers additionally charge the producer's and consumer's NIC
+/// Page transfers additionally reserve the producer's and consumer's NIC
 /// governors, which is where shuffle/network bottlenecks come from.
+///
+/// Pacing: control-plane calls run on coordinator and tuner threads and
+/// sleep their latency there. GetPages never sleeps; it reports when the
+/// response arrives, and pool-scheduled callers yield until then.
 ///
 /// Fault model: when EngineConfig::fault_injector is set, every call first
 /// consults it under the site name "rpc.<Method>". A transient error skips
@@ -62,23 +66,16 @@ class RpcBus {
 
   // --- data plane ---
   /// Pulls pages from `split`'s output buffer, resuming at
-  /// `start_sequence` (see OutputBuffer::GetPages); charges both NICs.
-  /// kUnavailable covers injected faults, crashed workers and vanished
-  /// tasks — all retryable with the same start_sequence.
+  /// `start_sequence` (see OutputBuffer::GetPages), and reserves both
+  /// NICs. Never blocks: `*ready_at_us` receives the absolute time the
+  /// response arrives (request latency + injected latency + both NIC
+  /// grants), set on errors too. The caller must not use the pages before
+  /// then. kUnavailable covers injected faults, crashed workers and
+  /// vanished tasks — all retryable with the same start_sequence.
   Result<PagesResult> GetPages(const RemoteSplit& split, int buffer_id,
                                int64_t start_sequence, int max_pages,
-                               ResourceGovernor* consumer_nic);
-
-  /// Non-blocking GetPages for pool-scheduled callers: instead of sleeping
-  /// the RPC latency and blocking on NIC bandwidth, reports via
-  /// `*ready_at_us` the absolute time the response arrives (request
-  /// latency + injected latency + both NIC grants). The caller must not
-  /// consume the pages before then — exchange clients yield their pool
-  /// thread until it.
-  Result<PagesResult> GetPagesDeferred(const RemoteSplit& split, int buffer_id,
-                                       int64_t start_sequence, int max_pages,
-                                       ResourceGovernor* consumer_nic,
-                                       int64_t* ready_at_us);
+                               ResourceGovernor* consumer_nic,
+                               int64_t* ready_at_us);
 
   // --- worker health ---
   /// Kills `worker_id`: aborts all its tasks and makes every later call
@@ -103,16 +100,17 @@ class RpcBus {
   struct CallFate {
     Status pre;        // non-OK: fail now, skip the call entirely
     bool drop = false; // perform the call, then lose the response
+    /// Simulated latency: base RPC latency + injected added latency.
+    int64_t delay_us = 0;
   };
 
-  void SimulateLatency();
+  /// Counts the request and decides its fault and latency; never sleeps.
   CallFate Intercept(const char* site, int worker_id,
                      const std::string& query_id);
-  /// Intercept variant that accumulates the simulated latency (base RPC
-  /// latency + injected added latency) into `*delay_us` instead of
-  /// sleeping it. Fault semantics are identical to Intercept.
-  CallFate InterceptDeferred(const char* site, int worker_id,
-                             const std::string& query_id, int64_t* delay_us);
+  /// Intercept for control-plane calls: sleeps the delay on the calling
+  /// coordinator or tuner thread before the call is performed.
+  CallFate InterceptControl(const char* site, int worker_id,
+                            const std::string& query_id);
   Status FinishCall(const CallFate& fate, const char* site);
   void RecordFault(const std::string& query_id, bool crash);
 

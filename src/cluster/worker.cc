@@ -1,5 +1,6 @@
 #include "cluster/worker.h"
 
+#include <algorithm>
 #include <thread>
 
 #include "common/logging.h"
@@ -9,7 +10,8 @@ namespace {
 
 /// Wraps a PageSource, charging producer (storage) and consumer (worker)
 /// NIC bandwidth for every page read — the data path from storage nodes
-/// to compute nodes in the paper's cluster.
+/// to compute nodes in the paper's cluster. Reserves, never blocks: the
+/// later of the two grants is the page's arrival (ready_at_us).
 class NicChargingPageSource : public PageSource {
  public:
   NicChargingPageSource(std::unique_ptr<PageSource> inner,
@@ -21,20 +23,26 @@ class NicChargingPageSource : public PageSource {
 
   PagePtr Next() override {
     PagePtr page = inner_->Next();
+    ready_at_us_ = 0;
     if (page != nullptr && page->ByteSize() > 0) {
       double bytes = static_cast<double>(page->ByteSize());
-      storage_nic_->Consume(bytes);
-      if (reader_nic_ != nullptr) reader_nic_->Consume(bytes);
+      ready_at_us_ = storage_nic_->ReserveMicros(bytes);
+      if (reader_nic_ != nullptr) {
+        ready_at_us_ =
+            std::max(ready_at_us_, reader_nic_->ReserveMicros(bytes));
+      }
     }
     return page;
   }
 
   int64_t TotalRows() const override { return inner_->TotalRows(); }
+  int64_t ready_at_us() const override { return ready_at_us_; }
 
  private:
   std::unique_ptr<PageSource> inner_;
   ResourceGovernor* storage_nic_;
   ResourceGovernor* reader_nic_;
+  int64_t ready_at_us_ = 0;
 };
 
 }  // namespace
@@ -95,14 +103,10 @@ Status WorkerNode::CreateTask(TaskSpec spec, NextSplitFn next_split) {
     return storage_->OpenSplit(split, &nic_);
   };
   apis.fetch_pages = [this](const RemoteSplit& split, int buffer_id,
-                            int64_t start_sequence, int max_pages) {
-    return bus_->GetPages(split, buffer_id, start_sequence, max_pages, &nic_);
-  };
-  apis.fetch_pages_deferred = [this](const RemoteSplit& split, int buffer_id,
-                                     int64_t start_sequence, int max_pages,
-                                     int64_t* ready_at_us) {
-    return bus_->GetPagesDeferred(split, buffer_id, start_sequence, max_pages,
-                                  &nic_, ready_at_us);
+                            int64_t start_sequence, int max_pages,
+                            int64_t* ready_at_us) {
+    return bus_->GetPages(split, buffer_id, start_sequence, max_pages, &nic_,
+                          ready_at_us);
   };
 
   std::string key = spec.id.ToString();

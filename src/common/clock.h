@@ -25,6 +25,12 @@ inline void SleepForMicros(int64_t us) {
 
 inline void SleepForMillis(int64_t ms) { SleepForMicros(ms * 1000); }
 
+/// Sleeps until the absolute NowMicros time `at_us` (a reservation grant
+/// or a simulated response arrival). Never call from a pool thread.
+inline void SleepUntilMicros(int64_t at_us) {
+  SleepForMicros(at_us - NowMicros());
+}
+
 /// Simple stopwatch for measuring elapsed wall time.
 class Stopwatch {
  public:

@@ -47,11 +47,6 @@ int64_t ResourceGovernor::ReserveMicros(double amount) {
   return now + static_cast<int64_t>(-tokens_ / rate_ * 1e6);
 }
 
-void ResourceGovernor::Consume(double amount) {
-  int64_t grant_us = ReserveMicros(amount);
-  SleepForMicros(grant_us - NowMicros());
-}
-
 double ResourceGovernor::Utilization() const {
   int64_t now = NowMicros();
   std::lock_guard<std::mutex> lock(mutex_);
@@ -76,13 +71,6 @@ double ResourceGovernor::Utilization() const {
 double ResourceGovernor::TotalConsumed() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return total_consumed_;
-}
-
-void ResourceGovernor::SetRate(double rate) {
-  ACC_CHECK(rate > 0);
-  std::lock_guard<std::mutex> lock(mutex_);
-  RefillLocked(NowMicros());
-  rate_ = rate;
 }
 
 }  // namespace accordion

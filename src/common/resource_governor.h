@@ -31,11 +31,10 @@ class ResourceGovernor {
   ResourceGovernor& operator=(const ResourceGovernor&) = delete;
 
   /// Reserves `amount` units and returns the absolute time (micros, same
-  /// epoch as NowMicros) at which the reservation is granted. Never blocks.
+  /// epoch as NowMicros) at which the reservation is granted. Never blocks:
+  /// pool-scheduled callers yield until the grant, control-plane threads
+  /// sleep until it (SleepUntilMicros).
   int64_t ReserveMicros(double amount);
-
-  /// Blocks the calling thread until `amount` units are granted.
-  void Consume(double amount);
 
   /// Fraction of capacity used over the recent window, in [0, 1+].
   /// Values near 1 mean the resource is saturated.
@@ -47,18 +46,14 @@ class ResourceGovernor {
   double rate() const { return rate_; }
   const std::string& name() const { return name_; }
 
-  /// Changes the sustained rate (used to model cluster re-configuration in
-  /// tests and failure-injection scenarios).
-  void SetRate(double rate);
-
  private:
   void RefillLocked(int64_t now_us);
   void RecordLocked(int64_t now_us, double amount);
 
   const std::string name_;
   mutable std::mutex mutex_;
-  double rate_;
-  double burst_;
+  const double rate_;
+  const double burst_;
   double tokens_;
   int64_t last_refill_us_;
   double total_consumed_ = 0;

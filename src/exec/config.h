@@ -120,34 +120,16 @@ struct EngineConfig {
   /// Join probe/build/spill shape knobs.
   JoinConfig join;
 
-  /// DEPRECATED aliases for the buffer fields now living in `memory`
-  /// (one release of grace). -1 means unset; a set alias is merged into
-  /// `memory` by Normalize(), which rejects a conflicting pair (alias and
-  /// canonical field both set to different values) with kInvalidArgument.
-  /// Runtime readers go through the buffer_*_bytes() accessors, so a
-  /// config that never passed through Normalize() still honors them.
-  int64_t initial_buffer_bytes = -1;
-  int64_t max_buffer_bytes = -1;
-  int64_t fixed_buffer_bytes = -1;
+  /// Buffer capacities (plain reads of `memory`).
+  int64_t buffer_initial_bytes() const { return memory.initial_buffer_bytes; }
+  int64_t buffer_max_bytes() const { return memory.max_buffer_bytes; }
+  int64_t buffer_fixed_bytes() const { return memory.fixed_buffer_bytes; }
 
-  int64_t buffer_initial_bytes() const {
-    return initial_buffer_bytes >= 0 ? initial_buffer_bytes
-                                     : memory.initial_buffer_bytes;
-  }
-  int64_t buffer_max_bytes() const {
-    return max_buffer_bytes >= 0 ? max_buffer_bytes : memory.max_buffer_bytes;
-  }
-  int64_t buffer_fixed_bytes() const {
-    return fixed_buffer_bytes >= 0 ? fixed_buffer_bytes
-                                   : memory.fixed_buffer_bytes;
-  }
-
-  /// Merges the deprecated aliases into `memory` and validates the whole
-  /// config. Nonsensical combinations (negative budgets, max < initial
-  /// buffer capacity, per-query budget above the worker budget, zero spill
-  /// chunk, out-of-range radix/spill bits) are rejected with
-  /// kInvalidArgument — never silently clamped. Idempotent; called by
-  /// AccordionCluster at construction.
+  /// Validates the whole config. Nonsensical combinations (negative
+  /// budgets, max < initial buffer capacity, per-query budget above the
+  /// worker budget, zero spill chunk, out-of-range radix/spill bits) are
+  /// rejected with kInvalidArgument — never silently clamped. Idempotent;
+  /// called by AccordionCluster at construction.
   Status Normalize();
 
   /// Consumer-side resize cadence for elastic buffers (paper: ~500 ms).

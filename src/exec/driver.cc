@@ -20,6 +20,7 @@ Driver::Driver(int pipeline_id, int driver_seq,
 
 void Driver::Charge(const Operator& op, int64_t rows) {
   if (rows <= 0) return;
+  task_ctx_->AddProcessedRows(rows);
   double cost_us = static_cast<double>(rows) * op.CostPerRowMicros() *
                    task_ctx_->config().cost.scale;
   if (cost_us <= 0) return;
@@ -31,7 +32,6 @@ void Driver::Charge(const Operator& op, int64_t rows) {
   // the deadline, letting other units overlap the simulated wait.
   int64_t pace_us = start_us_ + static_cast<int64_t>(virtual_us_);
   pace_until_us_ = std::max(pace_until_us_, std::max(grant_us, pace_us));
-  task_ctx_->AddProcessedRows(rows);
 }
 
 Schedulable::Quantum Driver::RunQuantum(int64_t quantum_us) {
@@ -66,7 +66,12 @@ Schedulable::Quantum Driver::RunQuantum(int64_t quantum_us) {
       }
       if (producer.IsFinished() || !consumer.NeedsInput()) continue;
       PagePtr page = producer.GetOutput();
-      if (page == nullptr) continue;
+      if (page == nullptr) {
+        // A source whose page is still on the simulated wire owes the
+        // same kind of pacing as CPU: wait for exactly its arrival.
+        pace_until_us_ = std::max(pace_until_us_, producer.ReadyAtMicros());
+        continue;
+      }
       progressed = true;
       if (page->IsEnd()) {
         // Producer emitted its end page (it marked itself finished).
@@ -86,9 +91,12 @@ Schedulable::Quantum Driver::RunQuantum(int64_t quantum_us) {
     if (operators_.back()->GetOutput() != nullptr) progressed = true;
 
     if (!progressed) {
-      // Blocked on upstream data or downstream backpressure: yield the
-      // pool thread instead of spinning or sleeping on it.
-      return Quantum::Waiting(NowMicros() +
+      // Blocked on a page in flight (pace deadline), upstream data or
+      // downstream backpressure: yield the pool thread instead of
+      // spinning or sleeping on it.
+      now_us = NowMicros();
+      if (pace_until_us_ > now_us) return Quantum::Waiting(pace_until_us_);
+      return Quantum::Waiting(now_us +
                               task_ctx_->config().driver_idle_sleep_us);
     }
   }

@@ -15,9 +15,10 @@ namespace accordion {
 /// the shared morsel-scheduler pool: each quantum moves pages between
 /// adjacent operators and relays end pages (Fig. 13), charging each
 /// operator's virtual CPU cost to the worker governor. Instead of
-/// sleeping to pace itself to one simulated core, the driver records the
-/// pace deadline and yields the pool thread until it; backpressure and
-/// idle upstreams likewise yield instead of blocking.
+/// sleeping to pace itself to one simulated core or to a scanned page's
+/// NIC grant, the driver records the pace deadline and yields the pool
+/// thread until it; backpressure and idle upstreams likewise yield
+/// instead of blocking.
 class Driver : public Schedulable {
  public:
   Driver(int pipeline_id, int driver_seq, std::vector<OperatorPtr> operators,
@@ -53,7 +54,9 @@ class Driver : public Schedulable {
   std::vector<bool> finish_relayed_;
   int64_t start_us_ = 0;
   double virtual_us_ = 0;
-  /// Absolute time before which the driver owes simulated CPU pacing.
+  /// Absolute time before which the driver owes simulated pacing: CPU
+  /// grants and single-core speed (Charge) and source pages in flight
+  /// (Operator::ReadyAtMicros).
   int64_t pace_until_us_ = 0;
 };
 

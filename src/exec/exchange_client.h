@@ -19,16 +19,11 @@ namespace accordion {
 /// Performs one GetPages RPC against an upstream task's output buffer,
 /// resuming at `start_sequence` (the pages already received from that
 /// buffer id). Wired by the cluster layer (adds RPC latency, NIC charging
-/// and fault injection); kUnavailable errors are retryable.
+/// and fault injection); kUnavailable errors are retryable. Never blocks:
+/// `*ready_at_us` receives when the simulated response arrives (RPC
+/// latency + NIC grants); the client commits the pages then and yields
+/// the pool thread in between.
 using FetchPagesFn = std::function<Result<PagesResult>(
-    const RemoteSplit&, int buffer_id, int64_t start_sequence, int max_pages)>;
-
-/// Deferred-latency variant for pool-scheduled fetchers: performs the
-/// fetch immediately but reports when the response would arrive
-/// (`ready_at_us`, simulated RPC latency + NIC bandwidth grants) instead
-/// of sleeping. The client commits the pages at that time and yields the
-/// pool thread in between.
-using FetchPagesDeferredFn = std::function<Result<PagesResult>(
     const RemoteSplit&, int buffer_id, int64_t start_sequence, int max_pages,
     int64_t* ready_at_us)>;
 
@@ -53,8 +48,7 @@ using FetchPagesDeferredFn = std::function<Result<PagesResult>(
 /// fabricates completion, because that would silently truncate results.
 class ExchangeClient : public Schedulable {
  public:
-  ExchangeClient(TaskContext* task_ctx, int own_buffer_id, FetchPagesFn fetch,
-                 FetchPagesDeferredFn fetch_deferred = nullptr);
+  ExchangeClient(TaskContext* task_ctx, int own_buffer_id, FetchPagesFn fetch);
   ~ExchangeClient() override;
 
   /// Registers an upstream task (startup wiring or runtime DOP increase).
@@ -88,7 +82,6 @@ class ExchangeClient : public Schedulable {
   TaskContext* task_ctx_;
   int own_buffer_id_;
   FetchPagesFn fetch_;
-  FetchPagesDeferredFn fetch_deferred_;
   ElasticCapacity capacity_;
   Random rng_;  // quantum-only (backoff jitter)
 

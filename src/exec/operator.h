@@ -37,6 +37,11 @@ class Operator {
   /// Returns Page::End() exactly once, transitioning to kFinished.
   virtual PagePtr GetOutput() = 0;
 
+  /// Absolute time (NowMicros epoch) before which GetOutput() cannot
+  /// produce because a source's page is still on the simulated wire; 0
+  /// when not waiting on one. The driver folds it into its pace deadline.
+  virtual int64_t ReadyAtMicros() const { return 0; }
+
   /// Signals that no more input will arrive (end page received upstream).
   virtual void Finish() {
     if (state_ == OperatorState::kRunning) state_ = OperatorState::kFinishing;

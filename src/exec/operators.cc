@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 
+#include "common/clock.h"
 #include "common/logging.h"
 #include "exec/hash_table.h"
 #include "exec/radix_partitioner.h"
@@ -29,12 +30,37 @@ class TableScanOperator : public Operator {
 
   PagePtr GetOutput() override {
     if (IsFinished()) return nullptr;
-    if (end_signalled_ && source_ == nullptr) return EmitEnd();
+    if (held_ == nullptr) {
+      held_ = NextPage();
+      if (held_ == nullptr) return EmitEnd();
+    }
+    // Still on the simulated wire: the driver paces to ReadyAtMicros().
+    if (NowMicros() < held_ready_us_) return nullptr;
+    task_ctx_->AddScanRows(held_->num_rows());
+    return std::move(held_);
+  }
+
+  int64_t ReadyAtMicros() const override {
+    return held_ == nullptr ? 0 : held_ready_us_;
+  }
+
+  void SignalEnd() override { end_signalled_ = true; }
+
+  double CostPerRowMicros() const override {
+    return task_ctx_->config().cost.scan_us;
+  }
+  std::string Name() const override { return "TableScan"; }
+
+ private:
+  /// Next page of the current or a following split and its arrival time;
+  /// nullptr once the splits run out or the end signal stops the scan at
+  /// a split boundary.
+  PagePtr NextPage() {
     while (true) {
       if (source_ == nullptr) {
-        if (end_signalled_) return EmitEnd();
+        if (end_signalled_) return nullptr;
         std::optional<SystemSplit> split = next_split_();
-        if (!split.has_value()) return EmitEnd();
+        if (!split.has_value()) return nullptr;
         split->columns = columns_;
         source_ = open_split_(*split);
         if (source_ != nullptr && source_->TotalRows() >= 0) {
@@ -47,24 +73,19 @@ class TableScanOperator : public Operator {
         source_.reset();  // split exhausted; try the next one
         continue;
       }
-      task_ctx_->AddScanRows(page->num_rows());
+      held_ready_us_ = source_->ready_at_us();
       return page;
     }
   }
 
-  void SignalEnd() override { end_signalled_ = true; }
-
-  double CostPerRowMicros() const override {
-    return task_ctx_->config().cost.scan_us;
-  }
-  std::string Name() const override { return "TableScan"; }
-
- private:
   NextSplitFn next_split_;
   OpenSplitFn open_split_;
   std::vector<int> columns_;
   std::unique_ptr<PageSource> source_;
   bool end_signalled_ = false;
+  /// Page read from storage but not yet arrived, and its arrival time.
+  PagePtr held_;
+  int64_t held_ready_us_ = 0;
 };
 
 class TableScanFactory : public OperatorFactory {

@@ -16,8 +16,8 @@ ElasticCapacity::ElasticCapacity(const EngineConfig* config,
                                  TaskContext* task_ctx)
     : config_(config),
       task_ctx_(task_ctx),
-      capacity_(config->elastic_buffers ? config->buffer_initial_bytes()
-                                        : config->buffer_fixed_bytes()),
+      capacity_(config->elastic_buffers ? config->memory.initial_buffer_bytes
+                                        : config->memory.fixed_buffer_bytes),
       window_start_ms_(NowMillis()) {}
 
 bool ElasticCapacity::Accepting(int64_t queued_bytes) const {
@@ -27,7 +27,7 @@ bool ElasticCapacity::Accepting(int64_t queued_bytes) const {
 void ElasticCapacity::OnEmptyPop() {
   if (!config_->elastic_buffers) return;
   int64_t cap = capacity_.load();
-  int64_t grown = std::min(config_->buffer_max_bytes(), cap * 2);
+  int64_t grown = std::min(config_->memory.max_buffer_bytes, cap * 2);
   if (grown != cap) {
     capacity_.store(grown);
     ++turn_ups_;
@@ -43,9 +43,9 @@ void ElasticCapacity::OnConsume(int64_t bytes) {
   if (now - window_start_ms_ >= config_->buffer_resize_interval_ms) {
     // Re-fit capacity to the recent consumption rate (with headroom), so
     // production never outruns consumption by more than one window.
-    int64_t fitted = std::max(config_->buffer_initial_bytes(),
+    int64_t fitted = std::max(config_->memory.initial_buffer_bytes,
                               window_bytes_ + window_bytes_ / 2);
-    capacity_.store(std::min(config_->buffer_max_bytes(), fitted));
+    capacity_.store(std::min(config_->memory.max_buffer_bytes, fitted));
     window_bytes_ = 0;
     window_start_ms_ = now;
   }
@@ -532,6 +532,9 @@ void ShuffleBuffer::AddTaskGroup(int count, int first_buffer_id) {
     ++replaying_;
   }
   // Reshuffle the cache into the new group (Table 2's "shuffle time").
+  // This runs on the coordinator's thread (the AddOutputTaskGroup RPC),
+  // never the pool, so each page reserves its simulated CPU and sleeps
+  // until the grant.
   int64_t bytes = 0;
   size_t group_index = 0;
   {
@@ -542,7 +545,7 @@ void ShuffleBuffer::AddTaskGroup(int count, int first_buffer_id) {
     double cost_us = static_cast<double>(page->num_rows()) *
                      task_ctx_->config().cost.shuffle_executor_us *
                      task_ctx_->config().cost.scale;
-    task_ctx_->cpu()->Consume(cost_us * 1e-6);
+    SleepUntilMicros(task_ctx_->ReserveCpuMicros(cost_us));
     bytes += page->ByteSize();
     std::lock_guard<std::mutex> lock(mutex_);
     PartitionIntoGroupLocked(page, &groups_[group_index]);

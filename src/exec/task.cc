@@ -34,8 +34,8 @@ Task::Task(TaskSpec spec, TaskApis apis, ResourceGovernor* cpu,
       if (override_it != spec_.source_buffer_ids.end()) {
         buffer_id = override_it->second;
       }
-      auto client = std::make_unique<ExchangeClient>(
-          &task_ctx_, buffer_id, apis_.fetch_pages, apis_.fetch_pages_deferred);
+      auto client = std::make_unique<ExchangeClient>(&task_ctx_, buffer_id,
+                                                     apis_.fetch_pages);
       it = exchange_clients_.emplace(source_stage_id, std::move(client)).first;
     }
     return it->second.get();

@@ -43,9 +43,6 @@ struct TaskApis {
   NextSplitFn next_split;
   OpenSplitFn open_split;
   FetchPagesFn fetch_pages;
-  /// Optional non-blocking variant (see FetchPagesDeferredFn); when set,
-  /// exchange clients prefer it and yield instead of sleeping latency.
-  FetchPagesDeferredFn fetch_pages_deferred;
 };
 
 /// The smallest unit of distributed execution (paper §2). Owns its

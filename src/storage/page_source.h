@@ -20,6 +20,12 @@ class PageSource {
   /// Total rows this source will produce, if known (-1 otherwise). Feeds
   /// the scan-progress accounting the predictor relies on.
   virtual int64_t TotalRows() const { return -1; }
+
+  /// Absolute time (NowMicros epoch) at which the page last returned by
+  /// Next() has arrived. Sources that simulate a transfer reserve it and
+  /// report the grant here instead of blocking; the page must not be used
+  /// before then. 0 = already here.
+  virtual int64_t ready_at_us() const { return 0; }
 };
 
 /// PageSource over the deterministic TPC-H generator (the default storage

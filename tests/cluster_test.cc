@@ -102,6 +102,28 @@ TEST(ClusterTest, GlobalCountOverScan) {
   EXPECT_EQ(SingleInt(*result), 1500);
 }
 
+TEST(ClusterTest, ProcessedRowsCountWithoutCostModel) {
+  // cost.scale = 0: drivers charge no simulated CPU, but still count the
+  // rows every operator processed.
+  AccordionCluster cluster(FastOptions());
+  Catalog catalog = MakeTpchCatalog(kSf, 4);
+  PlanBuilder b(&catalog);
+  auto rel = b.Scan("customer", {"c_custkey"});
+  rel = b.Aggregate(rel, {}, {{AggFunc::kCount, "c_custkey", "cnt"}});
+  auto submitted = cluster.coordinator()->Submit(b.Output(rel));
+  ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+  auto result = cluster.coordinator()->Wait(*submitted, 60000);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  auto snapshot = cluster.coordinator()->Snapshot(*submitted);
+  ASSERT_TRUE(snapshot.ok());
+  const StageSnapshot* scan = nullptr;
+  for (const auto& stage : snapshot->stages) {
+    if (stage.scan_table == "customer") scan = &stage;
+  }
+  ASSERT_NE(scan, nullptr);
+  EXPECT_GE(scan->processed_rows, 1500);
+}
+
 TEST(ClusterTest, Q2JCountsEveryLineitemExactlyOnce) {
   AccordionCluster cluster(FastOptions());
   auto submitted =

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -113,53 +114,70 @@ TEST(ConcurrentQueueTest, ManyProducersManyConsumers) {
 
 TEST(ResourceGovernorTest, GrantsImmediatelyUnderBurst) {
   ResourceGovernor gov("test.cpu", /*rate=*/100.0, /*burst=*/10.0);
-  Stopwatch sw;
-  gov.Consume(1.0);  // Within burst -> no delay.
-  EXPECT_LT(sw.ElapsedMillis(), 50);
+  int64_t grant_us = gov.ReserveMicros(1.0);  // within burst
+  EXPECT_LE(grant_us, NowMicros());
 }
 
 TEST(ResourceGovernorTest, ThrottlesWhenDebtAccumulates) {
-  // rate 10 units/s, burst 1: consuming 3 units should take ~200ms+.
+  // rate 10 units/s, burst 1: the second and third units are granted
+  // ~100 ms and ~200 ms out, without the caller blocking.
   ResourceGovernor gov("test.cpu", 10.0, 1.0);
-  Stopwatch sw;
-  gov.Consume(1.0);
-  gov.Consume(1.0);
-  gov.Consume(1.0);
-  EXPECT_GE(sw.ElapsedMillis(), 150);
+  int64_t start_us = NowMicros();
+  int64_t first = gov.ReserveMicros(1.0);
+  int64_t second = gov.ReserveMicros(1.0);
+  int64_t third = gov.ReserveMicros(1.0);
+  EXPECT_LT(NowMicros() - start_us, 50000);  // reserving never sleeps
+  EXPECT_LE(first, NowMicros());
+  EXPECT_GE(second - start_us, 90000);
+  EXPECT_GE(third - start_us, 190000);
+  EXPECT_LE(third - start_us, 250000);
 }
 
 TEST(ResourceGovernorTest, AggregateRateIsCapped) {
-  // 4 threads hammering a 20 units/s bucket for ~0.5s should not consume
-  // much more than burst + rate * elapsed.
-  ResourceGovernor gov("test.cpu", 20.0, 2.0);
-  std::atomic<double> consumed{0};
+  // 4 threads reserving from a 20 units/s bucket: by each grant time, the
+  // granted total never exceeds burst + rate * elapsed.
+  const double kRate = 20.0, kBurst = 2.0, kAmount = 0.5;
+  int64_t start_us = NowMicros();
+  ResourceGovernor gov("test.cpu", kRate, kBurst);
+  std::vector<std::vector<int64_t>> grants(4);
   std::vector<std::thread> threads;
-  Stopwatch sw;
   for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      while (sw.ElapsedMillis() < 500) {
-        gov.Consume(0.5);
-        consumed = consumed + 0.5;
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 40; ++i) {
+        grants[t].push_back(gov.ReserveMicros(kAmount));
       }
     });
   }
   for (auto& t : threads) t.join();
-  double elapsed_s = sw.ElapsedSeconds();
-  EXPECT_LE(consumed.load(), 2.0 + 20.0 * elapsed_s + 2.5);
+  std::vector<int64_t> all;
+  for (const auto& g : grants) all.insert(all.end(), g.begin(), g.end());
+  std::sort(all.begin(), all.end());
+  for (size_t k = 0; k < all.size(); ++k) {
+    double granted = kAmount * static_cast<double>(k + 1);
+    double elapsed_s = static_cast<double>(all[k] - start_us) * 1e-6;
+    ASSERT_LE(granted, kBurst + kRate * elapsed_s + 1e-3) << "grant " << k;
+  }
+  // 80 units at 20/s past a burst of 2: the last grant is ~3.9 s out.
+  EXPECT_GE(all.back() - start_us, 3800000);
 }
 
 TEST(ResourceGovernorTest, UtilizationRisesUnderLoad) {
   ResourceGovernor gov("test.nic", 1000.0, 100.0);
   EXPECT_LE(gov.Utilization(), 0.01);
+  // A second's worth of demand in one 250 ms window reads as saturated
+  // once that window closes (the live window is not counted).
+  for (int i = 0; i < 20; ++i) gov.ReserveMicros(50.0);
   Stopwatch sw;
-  while (sw.ElapsedMillis() < 700) gov.Consume(50.0);
+  while (gov.Utilization() < 0.5 && sw.ElapsedMillis() < 1000) {
+    SleepForMillis(5);
+  }
   EXPECT_GE(gov.Utilization(), 0.5);
 }
 
 TEST(ResourceGovernorTest, TotalConsumedAccumulates) {
   ResourceGovernor gov("t", 1e9, 1e9);
-  gov.Consume(3);
-  gov.Consume(4);
+  gov.ReserveMicros(3);
+  gov.ReserveMicros(4);
   EXPECT_DOUBLE_EQ(gov.TotalConsumed(), 7.0);
 }
 

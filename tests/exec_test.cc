@@ -34,8 +34,8 @@ struct TestEnv {
           split.table, split.scale_factor, split.split_index,
           split.split_count, 256);
     };
-    apis.fetch_pages = [](const RemoteSplit&, int, int64_t,
-                          int) -> Result<PagesResult> {
+    apis.fetch_pages = [](const RemoteSplit&, int, int64_t, int,
+                          int64_t*) -> Result<PagesResult> {
       return PagesResult{{}, true};
     };
     return apis;
@@ -180,8 +180,8 @@ TEST(TaskTest, GlobalCountAcrossTwoWiredTasks) {
 
   TaskApis parent_apis = env.ApisFor();
   parent_apis.fetch_pages = [&](const RemoteSplit& split, int buffer_id,
-                                int64_t start_sequence,
-                                int max_pages) -> Result<PagesResult> {
+                                int64_t start_sequence, int max_pages,
+                                int64_t*) -> Result<PagesResult> {
     return child.GetPages(buffer_id, start_sequence, max_pages);
   };
   Task parent(parent_spec, parent_apis, &env.cpu, &env.nic, &env.config);
@@ -234,8 +234,8 @@ TEST(TaskTest, JoinInsideTaskViaBridgeAndLocalExchange) {
 
   TaskApis join_apis = env.ApisFor();
   join_apis.fetch_pages = [&](const RemoteSplit& split, int buffer_id,
-                              int64_t start_sequence,
-                              int max_pages) -> Result<PagesResult> {
+                              int64_t start_sequence, int max_pages,
+                              int64_t*) -> Result<PagesResult> {
     Task* source = split.task.stage_id == 1 ? &probe_task : &build_task;
     return source->GetPages(buffer_id, start_sequence, max_pages);
   };
@@ -530,7 +530,8 @@ TEST(ExchangeClientTest, DestructorWithoutStartIsSafe) {
   TaskContext ctx("t", &env.cpu, &env.nic, &env.config);
   ExchangeClient client(
       &ctx, 0,
-      [](const RemoteSplit&, int, int64_t, int) -> Result<PagesResult> {
+      [](const RemoteSplit&, int, int64_t, int,
+         int64_t*) -> Result<PagesResult> {
         return PagesResult{{}, true};
       });
   client.AddRemoteSplit(RemoteSplit{0, TaskId{"q", 1, 0}});
@@ -543,7 +544,8 @@ TEST(ExchangeClientTest, VanishedUpstreamFailsTaskInsteadOfCompleting) {
   TaskContext ctx("t", &env.cpu, &env.nic, &env.config);
   ExchangeClient client(
       &ctx, 0,
-      [](const RemoteSplit&, int, int64_t, int) -> Result<PagesResult> {
+      [](const RemoteSplit&, int, int64_t, int,
+         int64_t*) -> Result<PagesResult> {
         // Non-retryable: the upstream task is gone for good.
         return Status::NotFound("no task q.1.0");
       });
@@ -565,7 +567,8 @@ TEST(ExchangeClientTest, RetryExhaustionReportsContextfulFailure) {
   std::atomic<int> calls{0};
   ExchangeClient client(
       &ctx, 0,
-      [&](const RemoteSplit&, int, int64_t, int) -> Result<PagesResult> {
+      [&](const RemoteSplit&, int, int64_t, int,
+          int64_t*) -> Result<PagesResult> {
         ++calls;
         return Status::Unavailable("injected outage");
       });
@@ -591,8 +594,8 @@ TEST(ExchangeClientTest, TransientBlipResumesAtSameSequence) {
   std::atomic<int> calls{0};
   ExchangeClient client(
       &ctx, 0,
-      [&](const RemoteSplit&, int, int64_t start_sequence,
-          int) -> Result<PagesResult> {
+      [&](const RemoteSplit&, int, int64_t start_sequence, int,
+          int64_t*) -> Result<PagesResult> {
         int n = ++calls;
         {
           std::lock_guard<std::mutex> lock(seq_mutex);
@@ -645,9 +648,9 @@ TEST(ElasticCapacityTest, FixedModeNeverResizes) {
   env.config.elastic_buffers = false;
   TaskContext ctx("t", &env.cpu, &env.nic, &env.config);
   ElasticCapacity cap(&env.config, &ctx);
-  EXPECT_EQ(cap.capacity_bytes(), env.config.buffer_fixed_bytes());
+  EXPECT_EQ(cap.capacity_bytes(), env.config.memory.fixed_buffer_bytes);
   cap.OnEmptyPop();
-  EXPECT_EQ(cap.capacity_bytes(), env.config.buffer_fixed_bytes());
+  EXPECT_EQ(cap.capacity_bytes(), env.config.memory.fixed_buffer_bytes);
   EXPECT_EQ(cap.turn_ups(), 0);
 }
 

@@ -449,7 +449,7 @@ TEST(TaskOutputOperatorTest, PushesToBufferAndCountsRows) {
 TEST(TaskOutputOperatorTest, RespectsBufferBackpressure) {
   OpEnv env;
   env.config.elastic_buffers = true;
-  env.config.initial_buffer_bytes = 8;  // absurdly small
+  env.config.memory.initial_buffer_bytes = 8;  // absurdly small
   OutputBufferConfig cfg;
   cfg.partitioning = Partitioning::kGather;
   cfg.initial_consumers = 1;

@@ -5,7 +5,8 @@
 //    divides CPU time by group weight, weight changes take effect
 //    mid-run (the mechanism behind DOP-switch), Wake() resumes a
 //    waiting unit before its timer, and Retire() is a safe no-op for
-//    units the scheduler never saw or already dropped.
+//    units the scheduler never saw or already dropped. A NIC-throttled
+//    scan yields the pool thread until its grants instead of sleeping.
 //  * Admission control — the coordinator's global concurrency cap and
 //    per-tenant quota reject at Submit with ResourceExhausted and
 //    readmit once a slot frees.
@@ -18,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <fstream>
 #include <memory>
@@ -30,6 +32,8 @@
 #include "cluster/cluster.h"
 #include "common/clock.h"
 #include "common/fault_injector.h"
+#include "exec/driver.h"
+#include "exec/operators.h"
 #include "exec/scheduler.h"
 #include "plan/builder.h"
 #include "tests/reference_eval.h"
@@ -61,22 +65,30 @@ class BurnUnit : public Schedulable {
 };
 
 /// Runs once per resume and goes back to waiting; used to observe timer
-/// and Wake() behaviour.
+/// and Wake() behaviour, and how long the pool kept it off the CPU (the
+/// longest gap between two of its quanta).
 class WaiterUnit : public Schedulable {
  public:
   explicit WaiterUnit(int64_t wait_us) : wait_us_(wait_us) {}
 
   Quantum RunQuantum(int64_t) override {
+    int64_t now = NowMicros();
+    if (last_us_ > 0) {
+      max_gap_us_ = std::max(max_gap_us_.load(), now - last_us_);
+    }
+    last_us_ = now;
     runs_.fetch_add(1);
     if (finish_.load()) return Quantum::Finished();
-    return Quantum::Waiting(NowMicros() + wait_us_);
+    return Quantum::Waiting(now + wait_us_);
   }
 
   std::atomic<int> runs_{0};
   std::atomic<bool> finish_{false};
+  std::atomic<int64_t> max_gap_us_{0};
 
  private:
   int64_t wait_us_;
+  int64_t last_us_ = 0;
 };
 
 MorselScheduler::Options SmallPool(int threads, int64_t quantum_us = 200) {
@@ -205,6 +217,90 @@ TEST(MorselSchedulerTest, WakeResumesBeforeTimerExpiry) {
   scheduler.Wake(waiter.get());
 }
 
+/// Sink recording the cumulative bytes delivered and when each page came.
+class ArrivalSink : public Operator {
+ public:
+  explicit ArrivalSink(TaskContext* ctx) : Operator(ctx) {}
+  void AddInput(const PagePtr& page) override {
+    bytes_ += page->ByteSize();
+    arrivals.emplace_back(NowMicros(), bytes_);
+  }
+  PagePtr GetOutput() override {
+    return state_ == OperatorState::kFinishing ? EmitEnd() : nullptr;
+  }
+  double CostPerRowMicros() const override { return 0; }
+  std::string Name() const override { return "ArrivalSink"; }
+
+  std::vector<std::pair<int64_t, int64_t>> arrivals;  // (time, total bytes)
+
+ private:
+  int64_t bytes_ = 0;
+};
+
+TEST(MorselSchedulerTest, NicPacedScanYieldsThePoolThread) {
+  // One pool thread, a driver scanning through a storage NIC of 50 KB/s,
+  // and a second unit beside it. The scan must wait for its NIC grants
+  // off the thread: the second unit keeps getting quanta, and pages
+  // arrive exactly at their grants, not at the driver's idle poll.
+  MorselScheduler scheduler(SmallPool(1));
+  EngineConfig config;
+  config.cost.scale = 0;
+  config.driver_idle_sleep_us = 100000;  // an idle-poll pacer would crawl
+  ResourceGovernor cpu("t.cpu", 1e9, 1e9);
+  ResourceGovernor nic("t.nic", 1e18, 1e18);
+  TaskContext ctx("t", &cpu, &nic, &config);
+
+  // A burst below one page (~2 KB): every page waits for its own grant.
+  const double kRate = 50.0 * 1024, kBurst = 1024;
+  NodeConfig node;
+  node.nic_bytes_per_sec = kRate;
+  node.nic_burst_bytes = kBurst;
+  const int64_t start_us = NowMicros();
+  StorageService storage(1, node, &config);
+  bool split_taken = false;
+  NextSplitFn next_split = [&]() -> std::optional<SystemSplit> {
+    if (split_taken) return std::nullopt;
+    split_taken = true;
+    return SystemSplit{"lineitem", 0, 7, 0, kSf, {}};
+  };
+  OpenSplitFn open_split = [&](const SystemSplit& split) {
+    return storage.OpenSplit(split, nullptr);
+  };
+  std::vector<OperatorPtr> ops;
+  ops.push_back(MakeTableScanFactory(next_split, open_split, {0})
+                    ->Create(&ctx, 0));  // l_orderkey only
+  ops.push_back(std::make_unique<ArrivalSink>(&ctx));
+  auto* sink = static_cast<ArrivalSink*>(ops.back().get());
+  std::atomic<bool> cancelled{false};
+  Driver driver(0, 0, std::move(ops), &ctx, &cancelled);
+
+  auto other = std::make_shared<WaiterUnit>(500);
+  scheduler.Enqueue("other", other);
+  scheduler.Enqueue("scan", NonOwning(&driver));
+  Stopwatch sw;
+  while (!driver.done() && sw.ElapsedMillis() < 20000) SleepForMillis(5);
+  const int64_t elapsed_us = NowMicros() - start_us;
+  other->finish_.store(true);
+  scheduler.Retire(&driver);
+  scheduler.Retire(other.get());
+  ASSERT_TRUE(driver.done());
+
+  ASSERT_GE(sink->arrivals.size(), 10u);
+  const double total = static_cast<double>(sink->arrivals.back().second);
+  // Nothing arrives before the NIC could have carried it.
+  for (const auto& [at_us, bytes] : sink->arrivals) {
+    double elapsed_s = static_cast<double>(at_us - start_us) * 1e-6;
+    ASSERT_LE(static_cast<double>(bytes), kBurst + kRate * elapsed_s + 1.0);
+  }
+  // One page is ~2 KB, ~40 ms of NIC time. A scan sleeping on the pool
+  // thread starves the other unit for that long on every page.
+  EXPECT_LT(other->max_gap_us_.load(), 20000);
+  // Exact deadlines: the scan runs at the NIC rate, far from the one page
+  // per 100 ms an idle-poll pacer would manage.
+  const double ideal_us = (total - kBurst) / kRate * 1e6;
+  EXPECT_LT(static_cast<double>(elapsed_us), ideal_us * 1.5 + 200000);
+}
+
 TEST(MorselSchedulerTest, RetireIsSafeInEveryState) {
   MorselScheduler scheduler(SmallPool(1));
 
@@ -263,8 +359,8 @@ AccordionCluster::Options FastOptions() {
 /// stays kRunning, holding its admission slot.
 AccordionCluster::Options StreamingOptions() {
   AccordionCluster::Options options = FastOptions();
-  options.engine.initial_buffer_bytes = 2 * 1024;
-  options.engine.max_buffer_bytes = 8 * 1024;
+  options.engine.memory.initial_buffer_bytes = 2 * 1024;
+  options.engine.memory.max_buffer_bytes = 8 * 1024;
   return options;
 }
 
