@@ -132,9 +132,8 @@ void Coordinator::UpdateQueryShare(QueryExec* query) {
     parallelism =
         std::max(parallelism, stage.dop * std::max(1, stage.task_dop));
   }
-  double weight = query->options.scheduler_weight *
-                  static_cast<double>(std::max(1, parallelism));
-  SchedulerFor(*config_)->SetGroupWeight(query->id, weight);
+  SchedulerFor(*config_)->SetGroupWeight(query->id,
+                                         static_cast<double>(parallelism));
 }
 
 void Coordinator::MonitorLoop() {
@@ -943,6 +942,7 @@ Result<QuerySnapshot> Coordinator::Snapshot(const std::string& query_id) {
             [](const StageSnapshot& a, const StageSnapshot& b) {
               return a.stage_id < b.stage_id;
             });
+  snapshot.taken_ms = NowMillis();
   return snapshot;
 }
 

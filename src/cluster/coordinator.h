@@ -34,12 +34,6 @@ struct QueryOptions {
   /// tenant (still quota'd as one tenant).
   std::string tenant;
 
-  /// Multiplier on the query's share of the shared CPU pool. The
-  /// effective fair-queueing weight is this times the query's current
-  /// parallelism (max over stages of stage DOP x task DOP), so DOP tuning
-  /// changes a query's pool share rather than its thread count.
-  double scheduler_weight = 1.0;
-
   /// Cost-based optimizer knobs applied when the query arrives as SQL
   /// text (hand-built plans bypass the optimizer). See
   /// src/optimizer/options.h.
@@ -94,7 +88,8 @@ struct QuerySnapshot {
   std::string query_id;
   QueryState state = QueryState::kRunning;
   int64_t submit_ms = 0;
-  int64_t end_ms = 0;  // 0 while running
+  int64_t end_ms = 0;    // 0 while running
+  int64_t taken_ms = 0;  // NowMillis() when the snapshot was complete
   double initial_schedule_ms = 0;
   int64_t initial_schedule_requests = 0;
 

@@ -55,7 +55,6 @@ FaultDecision FaultInjector::Decide(const std::string& site) {
     decision.kind = s.policy.kind;
     decision.latency_ms = s.policy.latency_ms;
     ++faults_injected_;
-    if (s.policy.kind == FaultKind::kWorkerCrash) ++crashes_injected_;
     return decision;
   }
   return decision;

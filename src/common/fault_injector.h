@@ -85,7 +85,6 @@ class FaultInjector {
 
   uint64_t seed() const { return seed_; }
   int64_t faults_injected() const { return faults_injected_.load(); }
-  int64_t crashes_injected() const { return crashes_injected_.load(); }
 
  private:
   struct Site {
@@ -99,7 +98,6 @@ class FaultInjector {
   uint64_t seed_;
   std::atomic<bool> enabled_{false};
   std::atomic<int64_t> faults_injected_{0};
-  std::atomic<int64_t> crashes_injected_{0};
   std::mutex mutex_;
   Random rng_;
   std::vector<Site> sites_;

@@ -18,13 +18,7 @@ struct RetryPolicy {
   int max_attempts = 4;
 
   int64_t initial_backoff_ms = 1;
-  double backoff_multiplier = 2.0;
   int64_t max_backoff_ms = 50;
-
-  /// Fraction of the backoff that is randomized: the actual sleep is
-  /// uniform in [backoff * (1 - jitter), backoff * (1 + jitter)], so
-  /// retry storms from sibling tasks decorrelate.
-  double jitter = 0.5;
 
   /// Simulated per-attempt deadline. An attempt whose injected latency
   /// exceeds this counts as failed (kUnavailable) and is retried.
@@ -36,15 +30,21 @@ inline bool IsRetryableRpcStatus(const Status& status) {
   return status.code() == StatusCode::kUnavailable;
 }
 
+/// Each backoff doubles the last, and the actual sleep is uniform in
+/// [backoff * (1 - jitter), backoff * (1 + jitter)], so retry storms from
+/// sibling tasks decorrelate.
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kBackoffJitter = 0.5;
+
 /// Backoff before attempt `attempt` (1-based count of failures so far),
 /// jittered with `rng`. Thread-compatible: callers own the rng.
 inline int64_t RetryBackoffMs(const RetryPolicy& policy, int attempt,
                               Random* rng) {
   double backoff = static_cast<double>(policy.initial_backoff_ms);
-  for (int i = 1; i < attempt; ++i) backoff *= policy.backoff_multiplier;
+  for (int i = 1; i < attempt; ++i) backoff *= kBackoffMultiplier;
   backoff = std::min(backoff, static_cast<double>(policy.max_backoff_ms));
-  if (policy.jitter > 0 && rng != nullptr) {
-    double spread = (rng->NextDouble() * 2.0 - 1.0) * policy.jitter;
+  if (rng != nullptr) {
+    double spread = (rng->NextDouble() * 2.0 - 1.0) * kBackoffJitter;
     backoff *= 1.0 + spread;
   }
   return std::max<int64_t>(0, static_cast<int64_t>(backoff));

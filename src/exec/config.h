@@ -155,9 +155,6 @@ struct EngineConfig {
   /// slots + keys + accumulators stay roughly L2-resident.
   int64_t radix_agg_partition_groups = 1 << 12;
 
-  /// Upper bound on radix bits (2^bits partition tables per driver).
-  int radix_agg_max_bits = 10;
-
   /// Rows buffered per radix partition before they are drained through
   /// that partition's table (amortizes per-batch table overhead).
   int64_t radix_agg_drain_rows = 2048;

@@ -68,7 +68,6 @@ class ExchangeClient : public Schedulable {
   /// True once a fetch failed unrecoverably (also reported to the
   /// TaskContext, from where the coordinator escalates).
   bool failed() const { return failed_.load(); }
-  int64_t buffered_bytes() const { return buffered_bytes_.load(); }
   int num_sources() const;
 
  private:

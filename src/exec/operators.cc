@@ -11,6 +11,8 @@
 namespace accordion {
 namespace {
 
+constexpr int kRadixAggMaxBits = 10;  // 2^bits radix agg tables per driver
+
 // ---------------------------------------------------------------------------
 // TableScan
 // ---------------------------------------------------------------------------
@@ -865,7 +867,7 @@ class AggOperatorBase : public Operator {
     int bits = std::max(
         1, RadixPartitioner::ChooseBits(table_.size() * 4,
                                         cfg.radix_agg_partition_groups,
-                                        cfg.radix_agg_max_bits));
+                                        kRadixAggMaxBits));
     radix_ = std::make_unique<RadixState>(bits, table_.key_types(),
                                           input_types_);
     num_groups_ = 0;
@@ -929,13 +931,13 @@ class AggOperatorBase : public Operator {
   void MaybeResplit() {
     const EngineConfig& cfg = task_ctx_->config();
     const int cur_bits = radix_->partitioner.bits();
-    if (cur_bits >= cfg.radix_agg_max_bits) return;
+    if (cur_bits >= kRadixAggMaxBits) return;
     const int64_t budget = static_cast<int64_t>(radix_->partitioner.num_partitions()) *
                            cfg.radix_agg_partition_groups;
     if (num_groups_ <= budget) return;
     int bits = RadixPartitioner::ChooseBits(num_groups_ * 4,
                                             cfg.radix_agg_partition_groups,
-                                            cfg.radix_agg_max_bits);
+                                            kRadixAggMaxBits);
     if (bits <= cur_bits) return;
     const int old_parts = radix_->partitioner.num_partitions();
     for (int p = 0; p < old_parts; ++p) DrainPartition(p);

@@ -535,7 +535,6 @@ void ShuffleBuffer::AddTaskGroup(int count, int first_buffer_id) {
   // This runs on the coordinator's thread (the AddOutputTaskGroup RPC),
   // never the pool, so each page reserves its simulated CPU and sleeps
   // until the grant.
-  int64_t bytes = 0;
   size_t group_index = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -546,7 +545,6 @@ void ShuffleBuffer::AddTaskGroup(int count, int first_buffer_id) {
                      task_ctx_->config().cost.shuffle_executor_us *
                      task_ctx_->config().cost.scale;
     SleepUntilMicros(task_ctx_->ReserveCpuMicros(cost_us));
-    bytes += page->ByteSize();
     std::lock_guard<std::mutex> lock(mutex_);
     PartitionIntoGroupLocked(page, &groups_[group_index]);
   }
@@ -554,7 +552,6 @@ void ShuffleBuffer::AddTaskGroup(int count, int first_buffer_id) {
     std::lock_guard<std::mutex> lock(mutex_);
     --replaying_;
   }
-  last_reshuffle_bytes_ = bytes;
 }
 
 void ShuffleBuffer::SwitchToNewestGroup() {

@@ -258,10 +258,6 @@ class ShuffleBuffer : public OutputBuffer {
   /// Number of task groups created so far (first = 0).
   int NumGroups() const;
 
-  /// Bytes reshuffled from cache by the latest AddTaskGroup (Table 2's
-  /// shuffle-time accounting).
-  int64_t last_reshuffle_bytes() const { return last_reshuffle_bytes_.load(); }
-
  protected:
   PagesResult FetchNewPages(int buffer_id, int max_pages) override;
 
@@ -309,7 +305,6 @@ class ShuffleBuffer : public OutputBuffer {
   int in_flight_ = 0;   // pages popped but not yet delivered
   int replaying_ = 0;   // active AddTaskGroup cache replays
   bool shutdown_ = false;
-  std::atomic<int64_t> last_reshuffle_bytes_{0};
   std::vector<std::unique_ptr<ExecutorUnit>> executors_;
   // Scatter scratch reused across pages; guarded by mutex_ (the partition
   // step runs locked).

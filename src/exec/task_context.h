@@ -72,7 +72,6 @@ class TaskContext {
            !peak_build_bytes_.compare_exchange_weak(peak, now)) {
     }
   }
-  int64_t build_bytes() const { return build_bytes_.load(); }
   int64_t peak_build_bytes() const { return peak_build_bytes_.load(); }
 
   void AddSpillBytesWritten(int64_t n) { spill_bytes_written_ += n; }

@@ -11,22 +11,6 @@ namespace accordion {
 
 enum class TaskState { kCreated, kRunning, kFinished, kAborted, kFailed };
 
-inline const char* TaskStateName(TaskState state) {
-  switch (state) {
-    case TaskState::kCreated:
-      return "created";
-    case TaskState::kRunning:
-      return "running";
-    case TaskState::kFinished:
-      return "finished";
-    case TaskState::kAborted:
-      return "aborted";
-    case TaskState::kFailed:
-      return "failed";
-  }
-  return "?";
-}
-
 /// Snapshot of one task's runtime state, fetched periodically by the
 /// coordinator's runtime information collector (paper Fig. 18).
 struct TaskInfo {

@@ -159,8 +159,7 @@ Result<JoinPlan> PlanJoinOrder(const JoinGraph& graph,
   std::vector<int> order;
   if (fuzz) {
     ACCORDION_ASSIGN_OR_RETURN(order, RandomOrder(graph, &rng));
-  } else if (options.mode == OptimizerMode::kOn && options.join_reorder &&
-             n <= 16) {
+  } else if (options.mode == OptimizerMode::kOn && n <= 16) {
     ACCORDION_ASSIGN_OR_RETURN(order, BestOrder(graph));
   } else {
     ACCORDION_ASSIGN_OR_RETURN(order, TextualOrder(graph));

@@ -48,10 +48,10 @@ struct JoinPlan {
 };
 
 /// Chooses a join order for `graph` under `options`:
-///  - kOn with join_reorder: exhaustive left-deep dynamic programming over
-///    connected subsets, minimizing the sum of estimated intermediate
-///    cardinalities (TPC-H shapes are <= 8 tables; DP is 2^n * n^2);
-///  - kOn without join_reorder / kOff: textual order 0,1,2,... kept
+///  - kOn: exhaustive left-deep dynamic programming over connected
+///    subsets, minimizing the sum of estimated intermediate cardinalities
+///    (TPC-H shapes are <= 8 tables; DP is 2^n * n^2);
+///  - kOff: textual order 0,1,2,... kept
 ///    (tables unconnected at their turn are deferred, matching the legacy
 ///    greedy loop);
 ///  - kFuzz: a seeded random connected order with random build-side flips

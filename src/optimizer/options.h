@@ -28,18 +28,6 @@ enum class OptimizerMode {
 struct OptimizerOptions {
   OptimizerMode mode = OptimizerMode::kOn;
 
-  /// Enumerate join orders by estimated cost (off: FROM order).
-  bool join_reorder = true;
-
-  /// Apply single-table filters below the joins, and multi-table residual
-  /// conjuncts as soon as every referenced column is available (off: all
-  /// WHERE conjuncts not consumed as join keys apply above the join tree).
-  bool filter_pushdown = true;
-
-  /// Prune build-side join keys that no later join or clause references
-  /// (off: every scanned column rides through every join).
-  bool projection_pushdown = true;
-
   /// Let the estimated-smaller side become the hash-join build side
   /// (off: the newly joined table always builds).
   bool build_side_selection = true;

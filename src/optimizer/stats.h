@@ -36,8 +36,6 @@ class NdvSketch {
   /// Estimated number of distinct values added so far.
   int64_t Estimate() const;
 
-  int64_t distinct_kept() const { return static_cast<int64_t>(kept_.size()); }
-
  private:
   int k_;
   std::set<uint64_t> kept_;  // the k smallest distinct hashes

@@ -81,9 +81,6 @@ struct Aggregate {
   int input_channel = -1;
   DataType input_type = DataType::kInt64;
 
-  /// Number of partial-state columns this aggregate needs (avg uses 2).
-  int NumStateColumns() const { return func == AggFunc::kAvg ? 2 : 1; }
-
   /// Final result type.
   DataType ResultType() const;
 };

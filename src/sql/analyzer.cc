@@ -1089,14 +1089,11 @@ class Analyzer {
   // ---- Join tree --------------------------------------------------------
 
   Result<Rel> BuildJoinTree() {
-    // Effective pushdown knobs. kOff reproduces the legacy planner
-    // (pushdown always on); kFuzz draws them from the seed.
+    // Pushdown is always on, as in the legacy planner, except under kFuzz,
+    // which draws both switches from the seed.
     bool filter_pushdown = true;
     bool projection_pushdown = true;
-    if (options_.mode == OptimizerMode::kOn) {
-      filter_pushdown = options_.filter_pushdown;
-      projection_pushdown = options_.projection_pushdown;
-    } else if (options_.mode == OptimizerMode::kFuzz) {
+    if (options_.mode == OptimizerMode::kFuzz) {
       uint64_t bits = Mix64(options_.fuzz_seed ^ 0x9E3779B97F4A7C15ULL);
       filter_pushdown = (bits & 1) != 0;
       projection_pushdown = (bits & 2) != 0;

@@ -10,15 +10,20 @@ namespace accordion {
 
 Status RequestFilter::Check(const std::string& query_id, int stage_id,
                             int requested_dop) {
+  ACCORDION_ASSIGN_OR_RETURN(QuerySnapshot snapshot,
+                             predictor_->Observe(query_id));
+  return Check(snapshot, stage_id, requested_dop);
+}
+
+Status RequestFilter::Check(const QuerySnapshot& snapshot, int stage_id,
+                            int requested_dop) const {
   if (requested_dop < 1) {
     return Status::InvalidArgument("requested DOP must be >= 1");
   }
-  if (coordinator_->IsFinished(query_id)) {
-    return Status::FailedPrecondition("query " + query_id +
+  if (snapshot.state != QueryState::kRunning) {
+    return Status::FailedPrecondition("query " + snapshot.query_id +
                                       " already finished");
   }
-  ACCORDION_ASSIGN_OR_RETURN(QuerySnapshot snapshot,
-                             coordinator_->Snapshot(query_id));
   const StageSnapshot* stage = snapshot.stage(stage_id);
   if (stage == nullptr) {
     return Status::NotFound("no stage " + std::to_string(stage_id));
@@ -38,7 +43,7 @@ Status RequestFilter::Check(const std::string& query_id, int stage_id,
   if (stage->has_join) {
     // Rebuilding the hash table must pay off: reject when the remaining
     // execution time is below the reconstruction time (§5.2).
-    auto estimate = predictor_->EstimateRemaining(query_id, stage_id);
+    auto estimate = predictor_->EstimateRemaining(snapshot, stage_id);
     if (estimate.ok() && estimate->build_seconds > 0 &&
         estimate->remaining_seconds < estimate->build_seconds) {
       return Status::FailedPrecondition(
@@ -81,7 +86,7 @@ Result<BottleneckReport> LocateBottlenecks(Coordinator* coordinator,
 AutoTuner::AutoTuner(Coordinator* coordinator)
     : coordinator_(coordinator),
       predictor_(coordinator),
-      filter_(coordinator, &predictor_) {}
+      filter_(&predictor_) {}
 
 AutoTuner::~AutoTuner() {
   std::vector<std::string> active;
@@ -100,9 +105,11 @@ Status AutoTuner::Tune(const std::string& query_id, int stage_id, int dop,
 
 Result<int> AutoTuner::OneTimeTune(const std::string& query_id, int stage_id,
                                    double latency_constraint_s, int max_dop) {
+  ACCORDION_ASSIGN_OR_RETURN(QuerySnapshot snapshot,
+                             predictor_.Observe(query_id));
   ACCORDION_ASSIGN_OR_RETURN(
       std::vector<Predictor::DopTime> list,
-      predictor_.DopTimeList(query_id, stage_id, max_dop));
+      predictor_.DopTimeList(snapshot, stage_id, max_dop));
   // Pick the smallest DOP whose prediction meets the constraint; if none
   // does, the fastest configuration.
   int chosen = list.back().dop;
@@ -118,7 +125,8 @@ Result<int> AutoTuner::OneTimeTune(const std::string& query_id, int stage_id,
       best = entry.predicted_seconds;
     }
   }
-  Status st = Tune(query_id, stage_id, chosen);
+  Status st = filter_.Check(snapshot, stage_id, chosen);
+  if (st.ok()) st = coordinator_->SetStageDop(query_id, stage_id, chosen);
   if (!st.ok() && st.code() != StatusCode::kInvalidArgument) return st;
   return chosen;
 }
@@ -199,12 +207,12 @@ void AutoTuner::MonitorLoop(const std::string& query_id,
     double elapsed = static_cast<double>(NowMillis() - state->start_ms) * 1e-3;
 
     for (const auto& unit : units) {
-      auto snapshot = coordinator_->Snapshot(query_id);
+      auto snapshot = predictor_.Observe(query_id);
       if (!snapshot.ok()) return;
       const StageSnapshot* stage = snapshot->stage(unit.knob_stage);
       if (stage == nullptr || stage->finished) continue;
 
-      auto estimate = predictor_.EstimateRemaining(query_id, unit.knob_stage);
+      auto estimate = predictor_.EstimateRemaining(*snapshot, unit.knob_stage);
       if (!estimate.ok() || estimate->remaining_seconds >= 1e9) continue;
 
       double budget = unit.deadline_seconds - elapsed;
@@ -225,7 +233,10 @@ void AutoTuner::MonitorLoop(const std::string& query_id,
       }
       if (target == current) continue;
 
-      Status st = Tune(query_id, unit.knob_stage, target);
+      Status st = filter_.Check(*snapshot, unit.knob_stage, target);
+      if (st.ok()) {
+        st = coordinator_->SetStageDop(query_id, unit.knob_stage, target);
+      }
       MonitorAction action;
       action.at_seconds = elapsed;
       action.stage = unit.knob_stage;

@@ -19,15 +19,16 @@ namespace accordion {
 /// stage's remaining execution time.
 class RequestFilter {
  public:
-  RequestFilter(Coordinator* coordinator, Predictor* predictor)
-      : coordinator_(coordinator), predictor_(predictor) {}
+  explicit RequestFilter(Predictor* predictor) : predictor_(predictor) {}
 
   /// OK when the request is worth executing; an explanatory error
-  /// otherwise (the paper's "(Rejected)" annotations).
+  /// otherwise (the paper's "(Rejected)" annotations). The query_id form
+  /// takes one snapshot through the predictor.
   Status Check(const std::string& query_id, int stage_id, int requested_dop);
+  Status Check(const QuerySnapshot& snapshot, int stage_id,
+               int requested_dop) const;
 
  private:
-  Coordinator* coordinator_;
   Predictor* predictor_;
 };
 
@@ -78,7 +79,8 @@ class AutoTuner {
 
   /// Starts the DOP monitor for a query. Each period it estimates every
   /// unit's remaining time and raises/lowers the knob DOP to just meet
-  /// the deadline (AP/RP actions in Fig. 30).
+  /// the deadline (AP/RP actions in Fig. 30). Each unit's decision reads
+  /// one snapshot.
   Status StartMonitor(const std::string& query_id,
                       std::vector<TuningUnit> units, int64_t period_ms = 1000);
 

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 
-#include "common/clock.h"
-#include "tpch/tpch.h"
-
 namespace accordion {
+
+namespace {
+constexpr int64_t kRateWindowMs = 10000;
+}  // namespace
 
 int Predictor::DrivingScanStage(const QuerySnapshot& snapshot, int stage_id) {
   int current = stage_id;
@@ -20,23 +21,40 @@ int Predictor::DrivingScanStage(const QuerySnapshot& snapshot, int stage_id) {
   return -1;
 }
 
-int64_t Predictor::TableRows(const std::string& table) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = table_rows_cache_.find(table);
-    if (it != table_rows_cache_.end()) return it->second;
-  }
-  TpchSplitGenerator gen(table, coordinator_->scale_factor(), 0, 1, 4096);
-  int64_t rows = gen.TotalRows();
+Result<QuerySnapshot> Predictor::Observe(const std::string& query_id) {
+  ACCORDION_ASSIGN_OR_RETURN(QuerySnapshot snapshot,
+                             coordinator_->Snapshot(query_id));
+  Record(snapshot);
+  return snapshot;
+}
+
+void Predictor::Record(const QuerySnapshot& snapshot) {
   std::lock_guard<std::mutex> lock(mutex_);
-  table_rows_cache_[table] = rows;
-  return rows;
+  if (snapshot.state != QueryState::kRunning) {
+    history_.erase(snapshot.query_id);
+    return;
+  }
+  auto& stages = history_[snapshot.query_id];
+  int64_t now = snapshot.taken_ms;
+  for (const StageSnapshot& stage : snapshot.stages) {
+    if (!stage.is_scan) continue;
+    auto& samples = stages[stage.stage_id];
+    samples.push_back(RateSample{now, stage.scan_rows});
+    while (samples.size() > 2 &&
+           now - samples.front().at_ms > kRateWindowMs) {
+      samples.erase(samples.begin());
+    }
+  }
 }
 
 Result<Predictor::StageEstimate> Predictor::EstimateRemaining(
     const std::string& query_id, int stage_id) {
-  ACCORDION_ASSIGN_OR_RETURN(QuerySnapshot snapshot,
-                             coordinator_->Snapshot(query_id));
+  ACCORDION_ASSIGN_OR_RETURN(QuerySnapshot snapshot, Observe(query_id));
+  return EstimateRemaining(snapshot, stage_id);
+}
+
+Result<Predictor::StageEstimate> Predictor::EstimateRemaining(
+    const QuerySnapshot& snapshot, int stage_id) const {
   const StageSnapshot* stage = snapshot.stage(stage_id);
   if (stage == nullptr) {
     return Status::NotFound("no stage " + std::to_string(stage_id));
@@ -60,8 +78,13 @@ Result<Predictor::StageEstimate> Predictor::EstimateRemaining(
         "stage has no driving table-scan stage");
   }
   const StageSnapshot* scan = snapshot.stage(scan_stage_id);
+  const TableStats* stats = coordinator_->catalog().GetStats(scan->scan_table);
+  if (stats == nullptr) {
+    return Status::FailedPrecondition("no row count for table " +
+                                      scan->scan_table);
+  }
 
-  int64_t total_rows = TableRows(scan->scan_table);
+  int64_t total_rows = stats->row_count;
   estimate.remaining_rows = std::max<int64_t>(0, total_rows - scan->scan_rows);
   estimate.progress =
       total_rows == 0
@@ -69,26 +92,24 @@ Result<Predictor::StageEstimate> Predictor::EstimateRemaining(
           : std::min(1.0, static_cast<double>(scan->scan_rows) /
                               static_cast<double>(total_rows));
 
-  // Consumption rate over the recent sample window.
-  std::string key = query_id + "." + std::to_string(scan_stage_id);
-  int64_t now = NowMillis();
-  double rate = 0;
+  // Consumption rate since the oldest recorded sample in the window, else
+  // since submit.
+  int64_t now = snapshot.taken_ms;
+  RateSample oldest{now, scan->scan_rows};
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto& samples = history_[key];
-    samples.push_back(RateSample{now, scan->scan_rows});
-    // Keep ~10 s of history.
-    while (samples.size() > 2 && now - samples.front().at_ms > 10000) {
-      samples.erase(samples.begin());
+    auto query = history_.find(snapshot.query_id);
+    if (query != history_.end() && query->second.count(scan_stage_id) > 0) {
+      oldest = query->second.at(scan_stage_id).front();
     }
-    const RateSample& oldest = samples.front();
-    if (now > oldest.at_ms && scan->scan_rows > oldest.scan_rows) {
-      rate = static_cast<double>(scan->scan_rows - oldest.scan_rows) /
-             (static_cast<double>(now - oldest.at_ms) * 1e-3);
-    } else if (now > snapshot.submit_ms && scan->scan_rows > 0) {
-      rate = static_cast<double>(scan->scan_rows) /
-             (static_cast<double>(now - snapshot.submit_ms) * 1e-3);
-    }
+  }
+  double rate = 0;
+  if (now > oldest.at_ms && scan->scan_rows > oldest.scan_rows) {
+    rate = static_cast<double>(scan->scan_rows - oldest.scan_rows) /
+           (static_cast<double>(now - oldest.at_ms) * 1e-3);
+  } else if (now > snapshot.submit_ms && scan->scan_rows > 0) {
+    rate = static_cast<double>(scan->scan_rows) /
+           (static_cast<double>(now - snapshot.submit_ms) * 1e-3);
   }
   estimate.consume_rate_rows_per_s = rate;
   if (estimate.remaining_rows == 0) {
@@ -104,15 +125,15 @@ Result<Predictor::StageEstimate> Predictor::EstimateRemaining(
 
 Result<Predictor::WhatIf> Predictor::PredictAfterTuning(
     const std::string& query_id, int stage_id, int new_dop) {
-  ACCORDION_ASSIGN_OR_RETURN(QuerySnapshot snapshot,
-                             coordinator_->Snapshot(query_id));
-  const StageSnapshot* stage = snapshot.stage(stage_id);
-  if (stage == nullptr) {
-    return Status::NotFound("no stage " + std::to_string(stage_id));
-  }
-  ACCORDION_ASSIGN_OR_RETURN(StageEstimate estimate,
-                             EstimateRemaining(query_id, stage_id));
+  ACCORDION_ASSIGN_OR_RETURN(QuerySnapshot snapshot, Observe(query_id));
+  return PredictAfterTuning(snapshot, stage_id, new_dop);
+}
 
+Result<Predictor::WhatIf> Predictor::PredictAfterTuning(
+    const QuerySnapshot& snapshot, int stage_id, int new_dop) const {
+  ACCORDION_ASSIGN_OR_RETURN(StageEstimate estimate,
+                             EstimateRemaining(snapshot, stage_id));
+  const StageSnapshot* stage = snapshot.stage(stage_id);
   WhatIf what_if;
   what_if.tuning_seconds = estimate.build_seconds;
 
@@ -125,7 +146,7 @@ Result<Predictor::WhatIf> Predictor::PredictAfterTuning(
   // floor keeps modest scale-ups predictable even near saturation.
   const StageSnapshot* scan = snapshot.stage(estimate.driving_scan_stage);
   double cpu_util = 0;
-  if (scan != nullptr && !scan->tasks.empty()) {
+  if (!scan->tasks.empty()) {
     for (const auto& task : scan->tasks) cpu_util += task.cpu_utilization;
     cpu_util /= static_cast<double>(scan->tasks.size());
   }
@@ -148,10 +169,16 @@ Result<Predictor::WhatIf> Predictor::PredictAfterTuning(
 
 Result<std::vector<Predictor::DopTime>> Predictor::DopTimeList(
     const std::string& query_id, int stage_id, int max_dop) {
+  ACCORDION_ASSIGN_OR_RETURN(QuerySnapshot snapshot, Observe(query_id));
+  return DopTimeList(snapshot, stage_id, max_dop);
+}
+
+Result<std::vector<Predictor::DopTime>> Predictor::DopTimeList(
+    const QuerySnapshot& snapshot, int stage_id, int max_dop) const {
   std::vector<DopTime> list;
   for (int dop = 1; dop <= max_dop; ++dop) {
     ACCORDION_ASSIGN_OR_RETURN(WhatIf what_if,
-                               PredictAfterTuning(query_id, stage_id, dop));
+                               PredictAfterTuning(snapshot, stage_id, dop));
     list.push_back(DopTime{dop, what_if.predicted_seconds});
   }
   return list;

@@ -20,10 +20,19 @@ namespace accordion {
 /// where V_remain is the unscanned data volume, R_consume the recent scan
 /// consumption rate, T_build the hash-table reconstruction time (0 for
 /// join-free stages) and n_f the parallelism factor capped by the
-/// upstream nodes' CPU headroom.
+/// upstream nodes' CPU headroom. Each estimate reads one QuerySnapshot
+/// and the rates recorded from earlier ones; each (query_id, ...) call
+/// takes exactly one snapshot through Observe.
 class Predictor {
  public:
   explicit Predictor(Coordinator* coordinator) : coordinator_(coordinator) {}
+
+  /// Takes one snapshot of the query and records it.
+  Result<QuerySnapshot> Observe(const std::string& query_id);
+
+  /// Adds one rate sample per scan stage of `snapshot` (a ~10 s window);
+  /// a terminal snapshot drops the query's history instead.
+  void Record(const QuerySnapshot& snapshot);
 
   struct StageEstimate {
     int stage_id = 0;
@@ -35,10 +44,11 @@ class Predictor {
     double progress = 0;                  // scanned fraction in [0,1]
   };
 
-  /// Remaining-time estimate for `stage_id` at its current DOP. Refreshes
-  /// the internal rate tracker; call periodically for stable rates.
+  /// Remaining-time estimate for `stage_id` at its current DOP.
   Result<StageEstimate> EstimateRemaining(const std::string& query_id,
                                           int stage_id);
+  Result<StageEstimate> EstimateRemaining(const QuerySnapshot& snapshot,
+                                          int stage_id) const;
 
   struct WhatIf {
     double predicted_seconds = 0;
@@ -52,6 +62,8 @@ class Predictor {
   /// Predicted remaining time if the stage's DOP becomes `new_dop`.
   Result<WhatIf> PredictAfterTuning(const std::string& query_id, int stage_id,
                                     int new_dop);
+  Result<WhatIf> PredictAfterTuning(const QuerySnapshot& snapshot,
+                                    int stage_id, int new_dop) const;
 
   /// The §5.4 DOP-time list: predicted remaining seconds per DOP in
   /// [1, max_dop].
@@ -61,6 +73,8 @@ class Predictor {
   };
   Result<std::vector<DopTime>> DopTimeList(const std::string& query_id,
                                            int stage_id, int max_dop);
+  Result<std::vector<DopTime>> DopTimeList(const QuerySnapshot& snapshot,
+                                           int stage_id, int max_dop) const;
 
  private:
   struct RateSample {
@@ -71,12 +85,10 @@ class Predictor {
   /// Walks probe-side children to the driving scan stage (§5.2).
   static int DrivingScanStage(const QuerySnapshot& snapshot, int stage_id);
 
-  int64_t TableRows(const std::string& table);
-
   Coordinator* coordinator_;
-  std::mutex mutex_;
-  std::map<std::string, std::vector<RateSample>> history_;  // query.stage
-  std::map<std::string, int64_t> table_rows_cache_;
+  mutable std::mutex mutex_;
+  /// query id -> scan stage id -> samples, oldest first.
+  std::map<std::string, std::map<int, std::vector<RateSample>>> history_;
 };
 
 }  // namespace accordion

@@ -111,9 +111,6 @@ class Column {
   const std::vector<int64_t>& ints() const { return ints_; }
   const std::vector<double>& doubles() const { return doubles_; }
   const std::vector<std::string>& strings() const { return strings_; }
-  std::vector<int64_t>* mutable_ints() { return &ints_; }
-  std::vector<double>* mutable_doubles() { return &doubles_; }
-  std::vector<std::string>* mutable_strings() { return &strings_; }
 
   /// New column with the rows selected by `indices`, in order.
   Column Gather(const std::vector<int32_t>& indices) const;

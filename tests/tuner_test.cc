@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "cluster/cluster.h"
 #include "common/clock.h"
 #include "plan/builder.h"
@@ -107,6 +109,144 @@ TEST(PredictorTest, WhatIfScalesByFactor) {
               (*list)[i - 1].predicted_seconds * 1.05);
   }
   (void)cluster.coordinator()->Wait(*submitted, 180000);
+}
+
+/// A join stage (1, DOP 2) probing a lineitem scan stage (2) that has
+/// read half the table 10 s after submit: with no recorded history the
+/// rate is the average since submit, so T_remain is 10 s.
+QuerySnapshot HandBuiltJoinSnapshot(const Catalog& catalog, double scan_cpu) {
+  QuerySnapshot snapshot;
+  snapshot.query_id = "hand-built";
+  snapshot.submit_ms = 0;
+  snapshot.taken_ms = 10000;
+  StageSnapshot join;
+  join.stage_id = 1;
+  join.source_stage_ids = {2};
+  join.has_join = true;
+  join.dop = 2;
+  join.hash_build_us_max = 500000;
+  join.last_state_transfer_seconds = 0.8;
+  StageSnapshot scan;
+  scan.stage_id = 2;
+  scan.is_scan = true;
+  scan.scan_table = "lineitem";
+  scan.scan_rows = catalog.GetStats("lineitem")->row_count / 2;
+  scan.tasks.resize(2);
+  for (TaskInfo& task : scan.tasks) task.cpu_utilization = scan_cpu;
+  snapshot.stages = {join, scan};
+  return snapshot;
+}
+
+TEST(PredictorTest, WhatIfScalingOnOneSnapshot) {
+  AccordionCluster cluster(SlowOptions(0));
+  const Catalog& catalog = cluster.coordinator()->catalog();
+  Predictor predictor(cluster.coordinator());
+  QuerySnapshot snapshot = HandBuiltJoinSnapshot(catalog, 0.5);
+
+  auto estimate = predictor.EstimateRemaining(snapshot, 1);
+  ASSERT_TRUE(estimate.ok()) << estimate.status().ToString();
+  EXPECT_EQ(estimate->driving_scan_stage, 2);
+  EXPECT_NEAR(estimate->progress, 0.5, 1e-3);
+  EXPECT_NEAR(estimate->remaining_seconds, 10.0, 1e-2);
+  // T_build is the larger of the index time and the last state transfer.
+  EXPECT_DOUBLE_EQ(estimate->build_seconds, 0.8);
+
+  // Scale-up is capped by the scan's CPU headroom: 1 / 0.5 = 2x.
+  auto capped = predictor.PredictAfterTuning(snapshot, 1, 8);
+  ASSERT_TRUE(capped.ok());
+  EXPECT_DOUBLE_EQ(capped->max_factor, 2.0);
+  EXPECT_DOUBLE_EQ(capped->applied_factor, 2.0);
+  EXPECT_DOUBLE_EQ(capped->tuning_seconds, 0.8);
+  EXPECT_NEAR(capped->predicted_seconds, (10.0 - 0.8) / 2 + 0.8, 1e-2);
+
+  // Scale-down is never capped.
+  auto down = predictor.PredictAfterTuning(snapshot, 1, 1);
+  ASSERT_TRUE(down.ok());
+  EXPECT_DOUBLE_EQ(down->applied_factor, 0.5);
+  EXPECT_NEAR(down->predicted_seconds, (10.0 - 0.8) / 0.5 + 0.8, 1e-2);
+
+  // Near saturation the headroom floor still credits 1.5x.
+  QuerySnapshot busy = HandBuiltJoinSnapshot(catalog, 0.9);
+  auto floored = predictor.PredictAfterTuning(busy, 1, 8);
+  ASSERT_TRUE(floored.ok());
+  EXPECT_DOUBLE_EQ(floored->applied_factor, 1.5);
+  EXPECT_NEAR(floored->predicted_seconds, (10.0 - 0.8) / 1.5 + 0.8, 1e-2);
+
+  // Without a join nothing is rebuilt: the whole remainder scales.
+  QuerySnapshot no_join = snapshot;
+  no_join.stages[0].has_join = false;
+  auto scan_only = predictor.PredictAfterTuning(no_join, 1, 4);
+  ASSERT_TRUE(scan_only.ok());
+  EXPECT_DOUBLE_EQ(scan_only->tuning_seconds, 0);
+  EXPECT_NEAR(scan_only->predicted_seconds, 10.0 / 2, 1e-2);
+
+  // Row counts come from catalog statistics only.
+  QuerySnapshot unknown_table = snapshot;
+  unknown_table.stages[1].scan_table = "no_such_table";
+  EXPECT_EQ(predictor.EstimateRemaining(unknown_table, 1).status().code(),
+            StatusCode::kFailedPrecondition);
+
+  // The DOP-time list is the same what-if for every DOP.
+  auto list = predictor.DopTimeList(snapshot, 1, 4);
+  ASSERT_TRUE(list.ok());
+  ASSERT_EQ(list->size(), 4u);
+  for (const auto& entry : *list) {
+    auto what_if = predictor.PredictAfterTuning(snapshot, 1, entry.dop);
+    ASSERT_TRUE(what_if.ok());
+    EXPECT_DOUBLE_EQ(entry.predicted_seconds, what_if->predicted_seconds);
+  }
+}
+
+TEST(PredictorTest, RateHistoryIsDroppedWhenTheQueryEnds) {
+  AccordionCluster cluster(SlowOptions(0));
+  Predictor predictor(cluster.coordinator());
+  QuerySnapshot first =
+      HandBuiltJoinSnapshot(cluster.coordinator()->catalog(), 0.5);
+  predictor.Record(first);
+
+  // 2 s later the scan has read 1000 more rows: the windowed rate wins
+  // over the average since submit.
+  QuerySnapshot later = first;
+  later.taken_ms += 2000;
+  later.stages[1].scan_rows += 1000;
+  auto windowed = predictor.EstimateRemaining(later, 1);
+  ASSERT_TRUE(windowed.ok());
+  EXPECT_DOUBLE_EQ(windowed->consume_rate_rows_per_s, 500.0);
+
+  QuerySnapshot ended = later;
+  ended.state = QueryState::kFinished;
+  predictor.Record(ended);
+  auto fallback = predictor.EstimateRemaining(later, 1);
+  ASSERT_TRUE(fallback.ok());
+  EXPECT_DOUBLE_EQ(fallback->consume_rate_rows_per_s,
+                   static_cast<double>(later.stages[1].scan_rows) / 12.0);
+}
+
+TEST(PredictorTest, EachCallTakesOneSnapshot) {
+  AccordionCluster cluster(SlowOptions(0));
+  Coordinator* coordinator = cluster.coordinator();
+  auto submitted = coordinator->Submit(TpchQ2JPlan(coordinator->catalog()));
+  ASSERT_TRUE(submitted.ok());
+  ASSERT_TRUE(coordinator->Wait(*submitted, 60000).ok());
+  Predictor predictor(coordinator);
+
+  auto requests = [&](const std::function<void()>& call) {
+    int64_t before = coordinator->total_rpc_requests();
+    call();
+    return coordinator->total_rpc_requests() - before;
+  };
+  int64_t snapshot = requests([&] {
+    EXPECT_TRUE(coordinator->Snapshot(*submitted).ok());
+  });
+  ASSERT_GT(snapshot, 0);
+  int64_t what_if = requests([&] {
+    EXPECT_TRUE(predictor.PredictAfterTuning(*submitted, 1, 4).ok());
+  });
+  int64_t dop_time_list = requests([&] {
+    EXPECT_TRUE(predictor.DopTimeList(*submitted, 1, 8).ok());
+  });
+  EXPECT_EQ(what_if, snapshot);
+  EXPECT_EQ(dop_time_list, snapshot);
 }
 
 TEST(RequestFilterTest, RejectsFinishedQuery) {
