@@ -73,7 +73,8 @@ struct SessionOptions {
   /// Next with no explicit timeout).
   int64_t default_timeout_ms = 600000;
 
-  /// Pages pulled per fetch round trip.
+  /// Pages pulled per fetch round trip; must be >= 1 (a smaller value
+  /// fails the first fetch with kInvalidArgument).
   int fetch_batch_pages = 16;
 };
 

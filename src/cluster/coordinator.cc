@@ -11,6 +11,14 @@
 #include "tpch/tpch.h"
 
 namespace accordion {
+namespace {
+
+bool IsTerminal(TaskState state) {
+  return state == TaskState::kFinished || state == TaskState::kAborted ||
+         state == TaskState::kFailed;
+}
+
+}  // namespace
 
 Coordinator::Coordinator(RpcBus* bus, Catalog catalog,
                          const EngineConfig* config, double scale_factor)
@@ -31,7 +39,8 @@ Coordinator::~Coordinator() {
   }
   for (auto& query : queries) {
     Abort(query->id);
-    CleanupQueryTasks(query.get());
+    std::lock_guard<std::mutex> control(query->control_mutex);
+    ReleaseTasks(query.get());
   }
 }
 
@@ -62,19 +71,23 @@ Status Coordinator::RetryRpc(QueryExec* query, const char* what,
 }
 
 void Coordinator::AbortAllTasks(QueryExec* query) {
-  std::vector<std::pair<int, TaskId>> tasks;
+  std::vector<RemoteSplit> tasks;
   {
     std::lock_guard<std::mutex> lock(query->registry_mutex);
-    tasks = query->task_registry;
+    for (const TaskRecord& record : query->task_registry) {
+      if (!record.released.has_value()) {
+        tasks.push_back(RemoteSplit{record.worker, record.id});
+      }
+    }
   }
-  for (const auto& [worker_id, task_id] : tasks) {
+  for (const RemoteSplit& task : tasks) {
     // Tasks on crashed workers were already aborted by the crash itself.
-    if (!bus_->WorkerAlive(worker_id)) continue;
+    if (!bus_->WorkerAlive(task.worker_id)) continue;
     // Best-effort with retry: an injected transient fault must not leave
-    // a task running, but exhaustion is acceptable (the monitor's next
-    // pass catches survivors).
+    // a task running, but exhaustion is acceptable (the task then stays
+    // hosted until the cluster is destroyed).
     RetryRpc(query, "AbortTask",
-             [&] { return bus_->AbortTask(worker_id, task_id); });
+             [&] { return bus_->AbortTask(task.worker_id, task.task); });
   }
 }
 
@@ -105,7 +118,8 @@ void Coordinator::FireCompletion(const std::shared_ptr<QueryExec>& query) {
     callbacks.swap(query->completion_callbacks);
   }
   // The query's pool-share record is no longer needed; its remaining
-  // units (tasks are torn down later) fall back to the default weight.
+  // units (the monitor releases the tasks later) fall back to the default
+  // weight.
   SchedulerFor(*config_)->ClearGroup(query->id);
   for (auto& callback : callbacks) callback(state);
 }
@@ -130,7 +144,7 @@ void Coordinator::UpdateQueryShare(QueryExec* query) {
   int parallelism = 1;
   for (const auto& [stage_id, stage] : query->stages) {
     parallelism =
-        std::max(parallelism, stage.dop * std::max(1, stage.task_dop));
+        std::max(parallelism, stage.dop() * std::max(1, stage.task_dop));
   }
   SchedulerFor(*config_)->SetGroupWeight(query->id,
                                          static_cast<double>(parallelism));
@@ -146,20 +160,22 @@ void Coordinator::MonitorLoop() {
     }
     std::vector<int> dead = bus_->DeadWorkers();
     for (auto& query : queries) {
-      if (query->hosted_retired.load() > 0) {
+      if (query->hosted.load() > 0) {
         // A tuning operation in flight holds the lock; retry next round.
         std::unique_lock<std::mutex> control(query->control_mutex,
                                              std::try_to_lock);
-        if (control.owns_lock()) ReleaseRetiredTasks(query.get());
+        if (control.owns_lock()) ReleaseTasks(query.get());
       }
       if (query->state.load() != QueryState::kRunning) continue;
       Status failure;
       {
         std::lock_guard<std::mutex> lock(query->registry_mutex);
-        for (const auto& [worker_id, task_id] : query->task_registry) {
-          if (std::find(dead.begin(), dead.end(), worker_id) != dead.end()) {
+        for (const TaskRecord& record : query->task_registry) {
+          if (record.released.has_value()) continue;
+          if (std::find(dead.begin(), dead.end(), record.worker) !=
+              dead.end()) {
             failure = Status::Unavailable("worker " +
-                                          std::to_string(worker_id) +
+                                          std::to_string(record.worker) +
                                           " crashed")
                           .WithContext("query " + query->id);
             break;
@@ -167,12 +183,12 @@ void Coordinator::MonitorLoop() {
           // Cheap in-process heartbeat (no simulated RPC latency): the
           // paper's coordinator gets the same signal from task-info
           // polling; charging latency here would throttle detection.
-          WorkerNode* w = bus_->worker(worker_id);
+          WorkerNode* w = bus_->worker(record.worker);
           std::shared_ptr<Task> t =
-              w == nullptr ? nullptr : w->GetTask(task_id);
+              w == nullptr ? nullptr : w->GetTask(record.id);
           if (t != nullptr && t->context()->failed()) {
             failure = t->context()->failure().WithContext(
-                "task " + task_id.ToString());
+                "task " + record.id.ToString());
             break;
           }
         }
@@ -224,7 +240,7 @@ NextSplitFn Coordinator::SplitFeed(std::shared_ptr<QueryExec> query,
   };
 }
 
-Result<TaskId> Coordinator::SpawnTask(
+Result<RemoteSplit> Coordinator::SpawnTask(
     QueryExec* query, StageExec* stage,
     const std::map<int, int>& source_buffer_ids) {
   TaskSpec spec;
@@ -239,16 +255,10 @@ Result<TaskId> Coordinator::SpawnTask(
   // TaskContext falls back to memory.query_build_bytes when this is 0.
   spec.build_memory_bytes = query->options.max_memory_bytes;
   for (int child_id : stage->fragment.source_stage_ids) {
-    auto& child = query->stages.at(child_id);
-    std::vector<RemoteSplit> splits;
-    for (size_t t = 0; t < child.tasks.size(); ++t) {
-      splits.push_back(RemoteSplit{child.task_workers[t], child.tasks[t]});
-    }
-    spec.remote_splits[child_id] = std::move(splits);
+    spec.remote_splits[child_id] = query->stages.at(child_id).tasks;
   }
 
-  int worker = NextWorker();
-  TaskId id = spec.id;
+  const RemoteSplit task{NextWorker(), spec.id};
   auto query_shared = GetQuery(query->id);
   NextSplitFn feed;
   if (stage->fragment.IsScanStage()) {
@@ -261,23 +271,24 @@ Result<TaskId> Coordinator::SpawnTask(
   // which RetryRpc folds into success.
   ACCORDION_RETURN_NOT_OK(RetryRpc(query, "ScheduleTask", [&] {
     TaskSpec attempt_spec = spec;
-    return bus_->ScheduleTask(worker, std::move(attempt_spec), feed);
+    return bus_->ScheduleTask(task.worker_id, std::move(attempt_spec), feed);
   }));
-  ACCORDION_RETURN_NOT_OK(
-      RetryRpc(query, "StartTask", [&] { return bus_->StartTask(worker, id); }));
-  stage->tasks.push_back(id);
-  stage->task_workers.push_back(worker);
-  ++stage->dop;
+  ACCORDION_RETURN_NOT_OK(RetryRpc(query, "StartTask", [&] {
+    return bus_->StartTask(task.worker_id, task.task);
+  }));
+  stage->tasks.push_back(task);
   {
     std::lock_guard<std::mutex> lock(query->registry_mutex);
-    query->task_registry.emplace_back(worker, id);
+    query->task_registry.push_back(
+        TaskRecord{task.worker_id, task.task, std::nullopt});
   }
+  ++query->hosted;
   if (query->state.load() != QueryState::kRunning) {
     // Lost the race against a concurrent Abort/FailQuery that already
     // swept the registry: this task must not keep running.
-    bus_->AbortTask(worker, id);
+    bus_->AbortTask(task.worker_id, task.task);
   }
-  return id;
+  return task;
 }
 
 Result<std::string> Coordinator::Submit(const PlanNodePtr& plan,
@@ -364,7 +375,9 @@ Result<std::string> Coordinator::Submit(const PlanNodePtr& plan,
   }
 
   // Schedule bottom-up (deepest stages first) so that remote splits of
-  // parents are known at creation time (paper §4.4).
+  // parents are known at creation time (paper §4.4). The query is already
+  // visible to the monitor, so the registry grows under control_mutex.
+  std::unique_lock<std::mutex> control(query->control_mutex);
   Stopwatch schedule_watch;
   int64_t requests_before = bus_->total_requests();
   std::vector<int> order;
@@ -384,6 +397,7 @@ Result<std::string> Coordinator::Submit(const PlanNodePtr& plan,
       if (!spawned.ok()) {
         // Clean failure instead of a half-scheduled zombie: abort what
         // was already spawned and surface the scheduling error.
+        control.unlock();
         Status failure = spawned.status().WithContext(
             "initial scheduling of query " + query->id);
         FailQuery(query, failure);
@@ -400,7 +414,7 @@ Result<std::string> Coordinator::Submit(const PlanNodePtr& plan,
   // producers feel backpressure from a slow client.
   StageExec& root = query->stages.at(0);
   ACC_CHECK(root.tasks.size() == 1) << "root stage must have one task";
-  query->root_split = RemoteSplit{root.task_workers[0], root.tasks[0]};
+  query->root_split = root.tasks[0];
 
   UpdateQueryShare(query.get());
   return query->id;
@@ -408,6 +422,10 @@ Result<std::string> Coordinator::Submit(const PlanNodePtr& plan,
 
 Result<PagesResult> Coordinator::FetchResults(const std::string& query_id,
                                               int max_pages) {
+  if (max_pages < 1) {
+    return Status::InvalidArgument("FetchResults needs max_pages >= 1, got " +
+                                   std::to_string(max_pages));
+  }
   auto query = GetQuery(query_id);
   if (query == nullptr) return Status::NotFound("no query " + query_id);
   std::lock_guard<std::mutex> lock(query->fetch_mutex);
@@ -424,8 +442,7 @@ Result<PagesResult> Coordinator::FetchResults(const std::string& query_id,
   if (!query->stash.empty()) {
     // Redeliver pages a timed-out Wait consumed but could not return.
     PagesResult out;
-    size_t take = std::min<size_t>(std::max(max_pages, 1),
-                                   query->stash.size());
+    size_t take = std::min<size_t>(max_pages, query->stash.size());
     out.pages.assign(std::make_move_iterator(query->stash.begin()),
                      std::make_move_iterator(query->stash.begin() + take));
     query->stash.erase(query->stash.begin(), query->stash.begin() + take);
@@ -548,51 +565,31 @@ Status Coordinator::Abort(const std::string& query_id) {
   return Status::OK();
 }
 
-void Coordinator::CleanupQueryTasks(QueryExec* query) {
-  for (auto& [stage_id, stage] : query->stages) {
-    for (size_t t = 0; t < stage.tasks.size(); ++t) {
-      WorkerNode* w = bus_->worker(stage.task_workers[t]);
-      if (w != nullptr) w->RemoveTask(stage.tasks[t]);
+void Coordinator::ReleaseTasks(QueryExec* query) {
+  const bool query_done = query->state.load() != QueryState::kRunning;
+  // Read without registry_mutex: every writer also holds control_mutex.
+  for (size_t i = 0; i < query->task_registry.size(); ++i) {
+    const TaskRecord& record = query->task_registry[i];
+    if (record.released.has_value()) continue;
+    const bool retired =
+        !query->stages.at(record.id.stage_id).IsActive(record.id);
+    if (!retired && !query_done) continue;
+    // In-process like the health check: releasing is bookkeeping, not a
+    // simulated control-plane round trip.
+    WorkerNode* w = bus_->worker(record.worker);
+    std::shared_ptr<Task> task = w == nullptr ? nullptr : w->GetTask(record.id);
+    if (task == nullptr) continue;
+    TaskInfo info = task->Info();
+    task.reset();  // RemoveTask waits for every other holder
+    const bool drained = retired && info.state == TaskState::kFinished &&
+                         info.output_acknowledged;
+    if (!drained && !(query_done && IsTerminal(info.state))) continue;
+    {
+      std::lock_guard<std::mutex> lock(query->registry_mutex);
+      query->task_registry[i].released = std::move(info);
     }
-    for (size_t t = 0; t < stage.retired.size(); ++t) {
-      WorkerNode* w = bus_->worker(stage.retired_workers[t]);
-      if (w != nullptr) w->RemoveTask(stage.retired[t]);
-    }
-  }
-}
-
-void Coordinator::ReleaseRetiredTasks(QueryExec* query) {
-  for (auto& [stage_id, stage] : query->stages) {
-    for (size_t t = 0; t < stage.retired.size();) {
-      const TaskId id = stage.retired[t];
-      const int worker_id = stage.retired_workers[t];
-      // In-process like the health check: releasing is bookkeeping, not a
-      // simulated control-plane round trip.
-      WorkerNode* w = bus_->worker(worker_id);
-      std::shared_ptr<Task> task = w == nullptr ? nullptr : w->GetTask(id);
-      if (task == nullptr) {
-        ++t;
-        continue;
-      }
-      TaskInfo info = task->Info();
-      task.reset();  // RemoveTask waits for every other holder
-      if (info.state != TaskState::kFinished || !info.output_acknowledged) {
-        ++t;
-        continue;
-      }
-      stage.released.push_back(std::move(info));
-      {
-        std::lock_guard<std::mutex> lock(query->registry_mutex);
-        auto& registry = query->task_registry;
-        registry.erase(std::remove(registry.begin(), registry.end(),
-                                   std::make_pair(worker_id, id)),
-                       registry.end());
-      }
-      w->RemoveTask(id);
-      stage.retired.erase(stage.retired.begin() + t);
-      stage.retired_workers.erase(stage.retired_workers.begin() + t);
-      --query->hosted_retired;
-    }
+    w->RemoveTask(record.id);
+    --query->hosted;
   }
 }
 
@@ -600,20 +597,20 @@ Status Coordinator::SetTaskDop(const std::string& query_id, int stage_id,
                                int dop) {
   auto query = GetQuery(query_id);
   if (query == nullptr) return Status::NotFound("no query " + query_id);
+  // Checked under the lock: the monitor releases a terminal query's tasks
+  // as soon as it can take control_mutex.
+  std::lock_guard<std::mutex> lock(query->control_mutex);
   if (query->state.load() != QueryState::kRunning) {
     return Status::FailedPrecondition("query already finished");
   }
-  std::lock_guard<std::mutex> lock(query->control_mutex);
   auto it = query->stages.find(stage_id);
   if (it == query->stages.end()) {
     return Status::NotFound("no stage " + std::to_string(stage_id));
   }
   Status last = Status::OK();
-  for (size_t t = 0; t < it->second.tasks.size(); ++t) {
-    int worker = it->second.task_workers[t];
-    TaskId task = it->second.tasks[t];
+  for (const RemoteSplit& task : it->second.tasks) {
     Status st = RetryRpc(query.get(), "SetTaskDop", [&] {
-      return bus_->SetTaskDop(worker, task, dop);
+      return bus_->SetTaskDop(task.worker_id, task.task, dop);
     });
     if (!st.ok()) last = st;
   }
@@ -630,10 +627,12 @@ Status Coordinator::SetStageDop(const std::string& query_id, int stage_id,
                                 int dop, DopSwitchReport* report) {
   auto query = GetQuery(query_id);
   if (query == nullptr) return Status::NotFound("no query " + query_id);
+  // Checked under the lock: the monitor releases a terminal query's tasks
+  // as soon as it can take control_mutex.
+  std::lock_guard<std::mutex> lock(query->control_mutex);
   if (query->state.load() != QueryState::kRunning) {
     return Status::FailedPrecondition("query already finished");
   }
-  std::lock_guard<std::mutex> lock(query->control_mutex);
   auto it = query->stages.find(stage_id);
   if (it == query->stages.end()) {
     return Status::NotFound("no stage " + std::to_string(stage_id));
@@ -644,7 +643,7 @@ Status Coordinator::SetStageDop(const std::string& query_id, int stage_id,
         "stage contains stateful final operators; DOP pinned to 1");
   }
   if (dop < 1) return Status::InvalidArgument("stage DOP must be >= 1");
-  if (dop == stage.dop) return Status::OK();
+  if (dop == stage.dop()) return Status::OK();
 
   if (stage.fragment.has_join) {
     // Partitioned hash join stages need DOP switching when the probe feed
@@ -666,8 +665,8 @@ Status Coordinator::SetStageDop(const std::string& query_id, int stage_id,
       return st;
     }
   }
-  Status st = dop > stage.dop ? IncreaseStageDop(query.get(), &stage, dop)
-                              : DecreaseStageDop(query.get(), &stage, dop);
+  Status st = dop > stage.dop() ? IncreaseStageDop(query.get(), &stage, dop)
+                                : DecreaseStageDop(query.get(), &stage, dop);
   if (st.ok()) UpdateQueryShare(query.get());
   return st;
 }
@@ -676,15 +675,14 @@ Status Coordinator::IncreaseStageDop(QueryExec* query, StageExec* stage,
                                      int dop) {
   auto parent_it = query->stages.find(stage->fragment.parent_stage_id);
 
-  while (stage->dop < dop) {
+  while (stage->dop() < dop) {
     int new_seq = stage->next_task_seq;
     // Step 0: make room in the child buffers (buffer-ID array growth).
     for (int child_id : stage->fragment.source_stage_ids) {
       StageExec& child = query->stages.at(child_id);
-      for (size_t t = 0; t < child.tasks.size(); ++t) {
+      for (const RemoteSplit& task : child.tasks) {
         ACCORDION_RETURN_NOT_OK(RetryRpc(query, "SetConsumerCount", [&] {
-          return bus_->SetConsumerCount(child.task_workers[t], child.tasks[t],
-                                        new_seq + 1);
+          return bus_->SetConsumerCount(task.worker_id, task.task, new_seq + 1);
         }));
       }
       child.consumer_window_count =
@@ -698,13 +696,10 @@ Status Coordinator::IncreaseStageDop(QueryExec* query, StageExec* stage,
     ACCORDION_RETURN_NOT_OK(spawned.status());
     // Step 2: provide the new task's address to the parent stage tasks.
     if (parent_it != query->stages.end()) {
-      StageExec& parent = parent_it->second;
-      int worker = stage->task_workers.back();
-      for (size_t t = 0; t < parent.tasks.size(); ++t) {
+      for (const RemoteSplit& parent : parent_it->second.tasks) {
         ACCORDION_RETURN_NOT_OK(RetryRpc(query, "AddRemoteSplits", [&] {
-          return bus_->AddRemoteSplits(parent.task_workers[t], parent.tasks[t],
-                                       stage->fragment.stage_id,
-                                       {RemoteSplit{worker, *spawned}});
+          return bus_->AddRemoteSplits(parent.worker_id, parent.task,
+                                       stage->fragment.stage_id, {*spawned});
         }));
       }
     }
@@ -714,30 +709,24 @@ Status Coordinator::IncreaseStageDop(QueryExec* query, StageExec* stage,
 
 Status Coordinator::DecreaseStageDop(QueryExec* query, StageExec* stage,
                                      int dop) {
-  while (stage->dop > dop && stage->dop > 1) {
-    TaskId doomed = stage->tasks.back();
-    int doomed_worker = stage->task_workers.back();
+  while (stage->dop() > dop && stage->dop() > 1) {
+    // Retired: no longer in the active group, released once drained.
+    const RemoteSplit doomed = stage->tasks.back();
     stage->tasks.pop_back();
-    stage->task_workers.pop_back();
-    --stage->dop;
-    stage->retired.push_back(doomed);
-    stage->retired_workers.push_back(doomed_worker);
-    ++query->hosted_retired;
 
     if (stage->fragment.IsScanStage()) {
       // End signal directly to the task's source operators.
       ACCORDION_RETURN_NOT_OK(RetryRpc(query, "SignalEndSources", [&] {
-        return bus_->SignalEndSources(doomed_worker, doomed);
+        return bus_->SignalEndSources(doomed.worker_id, doomed.task);
       }));
     } else {
       // End signals to the child stages' output buffers for this task's
       // buffer id; end pages then relay through the doomed task (§4.4).
       for (int child_id : stage->fragment.source_stage_ids) {
-        StageExec& child = query->stages.at(child_id);
-        for (size_t t = 0; t < child.tasks.size(); ++t) {
+        for (const RemoteSplit& task : query->stages.at(child_id).tasks) {
           ACCORDION_RETURN_NOT_OK(RetryRpc(query, "EndSignalOutput", [&] {
-            return bus_->EndSignalOutput(child.task_workers[t], child.tasks[t],
-                                         doomed.task_seq);
+            return bus_->EndSignalOutput(task.worker_id, task.task,
+                                         doomed.task.task_seq);
           }));
         }
       }
@@ -760,12 +749,12 @@ Status Coordinator::DopSwitch(QueryExec* query, StageExec* stage, int dop,
     StageExec& child = query->stages.at(child_id);
     int first_id = child.next_output_buffer_id;
     child.next_output_buffer_id += dop;
-    for (size_t t = 0; t < child.tasks.size(); ++t) {
+    for (const RemoteSplit& task : child.tasks) {
       // Idempotent on the buffer (duplicate first_buffer_id is a no-op),
       // so dropped responses retry safely.
       ACCORDION_RETURN_NOT_OK(RetryRpc(query, "AddOutputTaskGroup", [&] {
-        return bus_->AddOutputTaskGroup(child.task_workers[t], child.tasks[t],
-                                        dop, first_id);
+        return bus_->AddOutputTaskGroup(task.worker_id, task.task, dop,
+                                        first_id);
       }));
     }
     first_buffer_id[child_id] = first_id;
@@ -775,17 +764,13 @@ Status Coordinator::DopSwitch(QueryExec* query, StageExec* stage, int dop,
   double shuffle_seconds = shuffle_watch.ElapsedSeconds();
 
   // Phase 2: spawn the new task group; each new task reads its group's
-  // buffer ids and rebuilds its hash-table partition from the cache.
+  // buffer ids and rebuilds its hash-table partition from the cache. The
+  // old group is retired now, but keeps probing until phase 4 and is
+  // released only once it has drained.
   Stopwatch build_watch;
   auto parent_it = query->stages.find(stage->fragment.parent_stage_id);
-
-  std::vector<TaskId> old_tasks = stage->tasks;
-  std::vector<int> old_workers = stage->task_workers;
   stage->tasks.clear();
-  stage->task_workers.clear();
-  stage->dop = 0;
 
-  std::vector<TaskId> new_tasks;
   for (int g = 0; g < dop; ++g) {
     std::map<int, int> source_buffer_ids;
     for (const auto& [child_id, first_id] : first_buffer_id) {
@@ -793,15 +778,11 @@ Status Coordinator::DopSwitch(QueryExec* query, StageExec* stage, int dop,
     }
     auto spawned = SpawnTask(query, stage, source_buffer_ids);
     ACCORDION_RETURN_NOT_OK(spawned.status());
-    new_tasks.push_back(*spawned);
     if (parent_it != query->stages.end()) {
-      StageExec& parent = parent_it->second;
-      int worker = stage->task_workers.back();
-      for (size_t t = 0; t < parent.tasks.size(); ++t) {
+      for (const RemoteSplit& parent : parent_it->second.tasks) {
         ACCORDION_RETURN_NOT_OK(RetryRpc(query, "AddRemoteSplits", [&] {
-          return bus_->AddRemoteSplits(parent.task_workers[t], parent.tasks[t],
-                                       stage->fragment.stage_id,
-                                       {RemoteSplit{worker, *spawned}});
+          return bus_->AddRemoteSplits(parent.worker_id, parent.task,
+                                       stage->fragment.stage_id, {*spawned});
         }));
       }
     }
@@ -811,8 +792,8 @@ Status Coordinator::DopSwitch(QueryExec* query, StageExec* stage, int dop,
   // (the probe side only switches afterwards, §4.5).
   while (query->state.load() == QueryState::kRunning) {
     bool all_built = true;
-    for (size_t t = 0; t < new_tasks.size(); ++t) {
-      auto info = bus_->GetTaskInfo(stage->task_workers[t], new_tasks[t]);
+    for (const RemoteSplit& task : stage->tasks) {
+      auto info = bus_->GetTaskInfo(task.worker_id, task.task);
       if (!info.has_value() || !info->hash_tables_built) {
         all_built = false;
         break;
@@ -833,20 +814,12 @@ Status Coordinator::DopSwitch(QueryExec* query, StageExec* stage, int dop,
     auto role = stage->source_is_build.find(child_id);
     bool is_build = role != stage->source_is_build.end() && role->second;
     if (is_build) continue;  // multicast keeps feeding all groups
-    StageExec& child = query->stages.at(child_id);
-    for (size_t t = 0; t < child.tasks.size(); ++t) {
+    for (const RemoteSplit& task : query->stages.at(child_id).tasks) {
       ACCORDION_RETURN_NOT_OK(
           RetryRpc(query, "SwitchOutputToNewestGroup", [&] {
-            return bus_->SwitchOutputToNewestGroup(child.task_workers[t],
-                                                   child.tasks[t]);
+            return bus_->SwitchOutputToNewestGroup(task.worker_id, task.task);
           }));
     }
-  }
-
-  for (size_t t = 0; t < old_tasks.size(); ++t) {
-    stage->retired.push_back(old_tasks[t]);
-    stage->retired_workers.push_back(old_workers[t]);
-    ++query->hosted_retired;
   }
 
   stage->last_state_transfer_seconds = total_watch.ElapsedSeconds();
@@ -878,8 +851,9 @@ Result<QuerySnapshot> Coordinator::Snapshot(const std::string& query_id) {
   }
 
   std::lock_guard<std::mutex> lock(query->control_mutex);
-  for (auto& [stage_id, stage] : query->stages) {
-    StageSnapshot s;
+  std::map<int, size_t> index;  // stage id -> position in snapshot.stages
+  for (const auto& [stage_id, stage] : query->stages) {  // ascending ids
+    StageSnapshot& s = snapshot.stages.emplace_back();
     s.stage_id = stage_id;
     s.parent_stage_id = stage.fragment.parent_stage_id;
     s.source_stage_ids = stage.fragment.source_stage_ids;
@@ -888,60 +862,47 @@ Result<QuerySnapshot> Coordinator::Snapshot(const std::string& query_id) {
     s.has_join = stage.fragment.has_join;
     s.has_final_stateful = stage.fragment.has_final_stateful;
     s.is_shuffle_stage = stage.fragment.is_shuffle_stage;
-    s.dop = stage.dop;
+    s.dop = stage.dop();
     s.last_state_transfer_seconds = stage.last_state_transfer_seconds;
     s.hash_tables_built = stage.fragment.has_join;
-
-    bool all_finished = true;
-    auto absorb = [&](const TaskInfo* info, bool active) {
-      snapshot.rpc_retries += info->rpc_retries;
-      snapshot.peak_build_bytes += info->peak_build_bytes;
-      snapshot.spill_bytes_written += info->spill_bytes_written;
-      snapshot.spill_partitions += info->spill_partitions;
-      if (info->probe_path == 2) {
-        snapshot.probe_path = "simd";
-      } else if (info->probe_path == 1 && snapshot.probe_path != "simd") {
-        snapshot.probe_path = "scalar";
-      }
-      s.output_rows += info->output_rows;
-      s.output_bytes += info->output_bytes;
-      s.processed_rows += info->processed_rows;
-      s.scan_rows += info->scan_rows;
-      s.scan_total_rows += info->scan_total_rows;
-      s.turn_ups += info->turn_up_counter;
-      s.hash_build_us_max =
-          std::max(s.hash_build_us_max, info->hash_build_micros);
-      s.cpu_util_max = std::max(s.cpu_util_max, info->cpu_utilization);
-      s.nic_util_max = std::max(s.nic_util_max, info->nic_utilization);
-      if (active) {
-        s.task_dop = std::max(s.task_dop, info->task_dop);
-        if (info->state != TaskState::kFinished &&
-            info->state != TaskState::kAborted &&
-            info->state != TaskState::kFailed) {
-          all_finished = false;
-        }
-        if (info->has_join && !info->hash_tables_built) {
-          s.hash_tables_built = false;
-        }
-        s.tasks.push_back(*info);
-      }
-    };
-    for (size_t t = 0; t < stage.tasks.size(); ++t) {
-      auto info = bus_->GetTaskInfo(stage.task_workers[t], stage.tasks[t]);
-      if (info.has_value()) absorb(&*info, true);
-    }
-    for (size_t t = 0; t < stage.retired.size(); ++t) {
-      auto info = bus_->GetTaskInfo(stage.retired_workers[t], stage.retired[t]);
-      if (info.has_value()) absorb(&*info, false);
-    }
-    for (const TaskInfo& info : stage.released) absorb(&info, false);
-    s.finished = all_finished && !stage.tasks.empty();
-    snapshot.stages.push_back(std::move(s));
+    s.finished = !stage.tasks.empty();
+    index[stage_id] = snapshot.stages.size() - 1;
   }
-  std::sort(snapshot.stages.begin(), snapshot.stages.end(),
-            [](const StageSnapshot& a, const StageSnapshot& b) {
-              return a.stage_id < b.stage_id;
-            });
+
+  // Read without registry_mutex: every writer also holds control_mutex.
+  // Hosted tasks report live; released ones their kept final info.
+  for (const TaskRecord& record : query->task_registry) {
+    std::optional<TaskInfo> fetched;
+    if (!record.released.has_value()) {
+      fetched = bus_->GetTaskInfo(record.worker, record.id);
+      if (!fetched.has_value()) continue;
+    }
+    const TaskInfo& info = fetched.has_value() ? *fetched : *record.released;
+    StageSnapshot& s = snapshot.stages[index.at(record.id.stage_id)];
+    snapshot.rpc_retries += info.rpc_retries;
+    snapshot.peak_build_bytes += info.peak_build_bytes;
+    snapshot.spill_bytes_written += info.spill_bytes_written;
+    snapshot.spill_partitions += info.spill_partitions;
+    if (info.probe_path == 2) {
+      snapshot.probe_path = "simd";
+    } else if (info.probe_path == 1 && snapshot.probe_path != "simd") {
+      snapshot.probe_path = "scalar";
+    }
+    s.output_rows += info.output_rows;
+    s.output_bytes += info.output_bytes;
+    s.processed_rows += info.processed_rows;
+    s.scan_rows += info.scan_rows;
+    s.scan_total_rows += info.scan_total_rows;
+    s.turn_ups += info.turn_up_counter;
+    s.hash_build_us_max = std::max(s.hash_build_us_max, info.hash_build_micros);
+    s.cpu_util_max = std::max(s.cpu_util_max, info.cpu_utilization);
+    s.nic_util_max = std::max(s.nic_util_max, info.nic_utilization);
+    if (!query->stages.at(record.id.stage_id).IsActive(record.id)) continue;
+    s.task_dop = std::max(s.task_dop, info.task_dop);
+    if (!IsTerminal(info.state)) s.finished = false;
+    if (info.has_join && !info.hash_tables_built) s.hash_tables_built = false;
+    s.tasks.push_back(info);
+  }
   snapshot.taken_ms = NowMillis();
   return snapshot;
 }

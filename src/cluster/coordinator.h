@@ -1,12 +1,14 @@
 #ifndef ACCORDION_CLUSTER_COORDINATOR_H_
 #define ACCORDION_CLUSTER_COORDINATOR_H_
 
+#include <algorithm>
 #include <atomic>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -160,7 +162,8 @@ class Coordinator {
   /// Pulls the next batch of result pages off stage 0's output buffer
   /// (non-blocking; `complete` marks the end of the stream). Flips the
   /// query to kFinished when the end page is observed. The primitive
-  /// under api::ResultCursor and Wait.
+  /// under api::ResultCursor and Wait. `max_pages` < 1 is
+  /// kInvalidArgument.
   Result<PagesResult> FetchResults(const std::string& query_id,
                                    int max_pages = 16);
 
@@ -204,14 +207,8 @@ class Coordinator {
  private:
   struct StageExec {
     PlanFragment fragment;
-    int dop = 0;
     int next_task_seq = 0;
-    std::vector<TaskId> tasks;       // active task group
-    std::vector<int> task_workers;   // parallel to `tasks`
-    std::vector<TaskId> retired;     // replaced/removed tasks, still hosted
-    std::vector<int> retired_workers;
-    /// Final info of retired tasks already released from their workers.
-    std::vector<TaskInfo> released;
+    std::vector<RemoteSplit> tasks;  // active task group, in spawn order
     std::deque<SystemSplit> splits;  // scan stages only
     /// Drivers per tunable pipeline of this stage's tasks (SetTaskDop
     /// target); feeds the query's pool-share weight.
@@ -226,6 +223,21 @@ class Coordinator {
     int consumer_window_first = 0;
     int consumer_window_count = 1;
     int next_output_buffer_id = 1;
+
+    int dop() const { return static_cast<int>(tasks.size()); }
+    /// False once a DOP change retired the task from the active group.
+    bool IsActive(const TaskId& id) const {
+      return std::any_of(tasks.begin(), tasks.end(),
+                         [&](const RemoteSplit& t) { return t.task == id; });
+    }
+  };
+
+  /// One task of a query, from spawn until the query is destroyed.
+  struct TaskRecord {
+    int worker = 0;
+    TaskId id;  // id.stage_id names the task's stage
+    /// Final info, kept once the task was removed from its worker.
+    std::optional<TaskInfo> released;
   };
 
   struct QueryExec {
@@ -238,9 +250,6 @@ class Coordinator {
     double initial_schedule_ms = 0;
     int64_t initial_schedule_requests = 0;
     std::mutex control_mutex;  // serializes tuning operations
-    /// Retired tasks still hosted on workers, across all stages: lets the
-    /// monitor skip the (usual) queries with nothing to release.
-    std::atomic<int> hosted_retired{0};
     std::mutex split_mutex;
     std::mutex fetch_mutex;  // serializes result fetches (cursor vs Wait)
     RemoteSplit root_split;  // stage 0's single task, pulled by consumers
@@ -267,37 +276,43 @@ class Coordinator {
     std::vector<std::function<void(QueryState)>> completion_callbacks;
     bool completion_fired = false;
 
-    /// Flat (worker, task) registry of everything this query ever
-    /// spawned, including retired tasks. Unlike `stages` it is guarded by
-    /// its own small mutex that is never held across RPCs or waits, so
+    /// Every task this query spawned, in spawn order: the one record of
+    /// which tasks the query has. Grows and changes only under both
+    /// control_mutex and registry_mutex, so holding either one is enough
+    /// to read it. registry_mutex is never held across RPCs or waits, so
     /// Abort and the health monitor stay responsive even while a tuning
     /// operation holds control_mutex (e.g. a DOP switch waiting on a
     /// build that will never finish because its worker died).
     std::mutex registry_mutex;
-    std::vector<std::pair<int, TaskId>> task_registry;
+    std::vector<TaskRecord> task_registry;
+    /// Records whose task is still on its worker: lets the monitor skip
+    /// queries with nothing left to release.
+    std::atomic<int> hosted{0};
   };
 
   std::shared_ptr<QueryExec> GetQuery(const std::string& query_id);
   int NextWorker() { return next_worker_++ % bus_->num_workers(); }
 
-  /// Creates, wires and starts one new task for a stage. `buffer_id`
-  /// overrides per-source-stage consumption (DOP switching); empty means
-  /// default (task seq). Returns the new task id.
-  Result<TaskId> SpawnTask(QueryExec* query, StageExec* stage,
-                           const std::map<int, int>& source_buffer_ids);
+  /// Creates, wires and starts one new task for a stage and appends it to
+  /// the stage's active group and the query's registry.
+  /// `source_buffer_ids` overrides per-source-stage consumption (DOP
+  /// switching); empty means default (task seq). Requires control_mutex.
+  Result<RemoteSplit> SpawnTask(QueryExec* query, StageExec* stage,
+                                const std::map<int, int>& source_buffer_ids);
 
   Status IncreaseStageDop(QueryExec* query, StageExec* stage, int dop);
   Status DecreaseStageDop(QueryExec* query, StageExec* stage, int dop);
   Status DopSwitch(QueryExec* query, StageExec* stage, int dop,
                    DopSwitchReport* report);
 
-  void CleanupQueryTasks(QueryExec* query);
-
-  /// Releases every retired task that has finished and whose output was
-  /// acknowledged by all consumers: keeps its final TaskInfo for Snapshot
-  /// and removes it (and its hash tables) from its worker. Requires
-  /// `query->control_mutex`.
-  void ReleaseRetiredTasks(QueryExec* query);
+  /// Removes every task that may go from its worker (with its hash
+  /// tables and scheduler units) and keeps its final TaskInfo for
+  /// Snapshot. A task may go once it is retired, finished and its output
+  /// acknowledged by all consumers, or once both it and its query are
+  /// terminal. Active tasks of a running query always stay: later DOP
+  /// changes wire new tasks to them and build-side caches replay from
+  /// them. Requires control_mutex; never call from a pool thread.
+  void ReleaseTasks(QueryExec* query);
 
   /// Runs `call` with exponential backoff on kUnavailable (idempotent
   /// control-plane calls only). kAlreadyExists after an earlier
@@ -312,8 +327,8 @@ class Coordinator {
   void FailQuery(const std::shared_ptr<QueryExec>& query,
                  const Status& status);
 
-  /// Best-effort abort of every task the query ever spawned (registry
-  /// order). Takes no control_mutex — safe from any thread.
+  /// Best-effort abort of every task of the query still on a worker
+  /// (registry order). Takes no control_mutex — safe from any thread.
   void AbortAllTasks(QueryExec* query);
 
   /// Runs the query's completion callbacks exactly once (no-op while the
@@ -323,11 +338,12 @@ class Coordinator {
 
   /// Recomputes the query's fair-queueing weight from its current
   /// parallelism and pushes it to the shared pool. Caller holds
-  /// control_mutex (or is still single-threaded in Submit).
+  /// control_mutex.
   void UpdateQueryShare(QueryExec* query);
 
-  /// Background health monitor: escalates crashed workers and failed
-  /// tasks to query failure every health_check_interval_ms.
+  /// Background health monitor: every health_check_interval_ms, releases
+  /// the tasks that may go (ReleaseTasks) and escalates crashed workers
+  /// and failed tasks to query failure.
   void MonitorLoop();
 
   OutputBufferConfig BufferConfigFor(const QueryExec& query,

@@ -49,8 +49,8 @@ class WorkerNode {
 
   // --- task manager (invoked by RpcBus) ---
   Status CreateTask(TaskSpec spec, NextSplitFn next_split);
-  /// Shared so that a task removed mid-call (a released retired task)
-  /// stays valid until the call returns.
+  /// Shared so that a task the coordinator releases mid-call stays
+  /// valid until the call returns.
   std::shared_ptr<Task> GetTask(const TaskId& task_id);
   /// Removes and destroys a task on the calling thread, after waiting out
   /// calls that still hold it. Never call from a pool thread.

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "api/session.h"
 #include "cluster/cluster.h"
 #include "common/clock.h"
 #include "plan/builder.h"
@@ -35,6 +36,25 @@ int64_t SingleInt(const std::vector<PagePtr>& pages) {
     if (p->num_rows() > 0) return p->column(0).IntAt(0);
   }
   return -1;
+}
+
+int HostedTasks(AccordionCluster* cluster) {
+  int tasks = 0;
+  for (int w = 0; w < cluster->num_workers(); ++w) {
+    tasks += cluster->worker(w)->NumTasks();
+  }
+  return tasks;
+}
+
+// Waits up to `timeout_ms` for the workers to host no task and the shared
+// pool to hold no unit; true when both reached 0.
+bool WaitUntilNothingHosted(AccordionCluster* cluster, int64_t timeout_ms) {
+  Stopwatch watch;
+  while (HostedTasks(cluster) > 0 || cluster->scheduler()->num_units() > 0) {
+    if (watch.ElapsedMillis() > timeout_ms) return false;
+    SleepForMillis(10);
+  }
+  return true;
 }
 
 // Drains `split` from the cluster's storage tier; `*nic_bytes` receives
@@ -277,24 +297,14 @@ TEST(ClusterTest, DopSwitchReleasesRetiredTasks) {
   auto at_finish = coordinator->Snapshot(*submitted);
   ASSERT_TRUE(at_finish.ok());
 
-  // Workers end up hosting only the active tasks.
   int active = 0;
   for (const auto& stage : at_finish->stages) active += stage.dop;
   EXPECT_EQ(active, 1 + 4 + 1 + 1);
-  auto hosted = [&] {
-    int tasks = 0;
-    for (int w = 0; w < options.num_workers; ++w) {
-      tasks += cluster.worker(w)->NumTasks();
-    }
-    return tasks;
-  };
-  Stopwatch watch;
-  while (hosted() > active && watch.ElapsedMillis() < 10000) {
-    SleepForMillis(10);
-  }
-  EXPECT_EQ(hosted(), active);
+  // Retired and active tasks alike leave their workers.
+  EXPECT_TRUE(WaitUntilNothingHosted(&cluster, 10000));
+  EXPECT_EQ(HostedTasks(&cluster), 0);
 
-  // Released tasks still count in the stage totals.
+  // Released tasks still count in the stage totals and task lists.
   auto released = coordinator->Snapshot(*submitted);
   ASSERT_TRUE(released.ok());
   ASSERT_EQ(released->stages.size(), at_finish->stages.size());
@@ -305,6 +315,9 @@ TEST(ClusterTest, DopSwitchReleasesRetiredTasks) {
     EXPECT_EQ(b.output_bytes, a.output_bytes) << "stage " << a.stage_id;
     EXPECT_EQ(b.processed_rows, a.processed_rows) << "stage " << a.stage_id;
     EXPECT_EQ(b.scan_rows, a.scan_rows) << "stage " << a.stage_id;
+    EXPECT_EQ(b.dop, a.dop) << "stage " << a.stage_id;
+    EXPECT_EQ(b.tasks.size(), a.tasks.size()) << "stage " << a.stage_id;
+    EXPECT_TRUE(b.finished) << "stage " << a.stage_id;
   }
   const StageSnapshot* scan = released->stage(lineitem_stage);
   EXPECT_EQ(scan->scan_rows, ExactLineitemRows(kSf));
@@ -393,6 +406,60 @@ TEST(ClusterTest, AbortStopsQuery) {
   auto result = cluster.coordinator()->Wait(*submitted, 30000);
   EXPECT_FALSE(result.ok());
   EXPECT_TRUE(cluster.coordinator()->IsFinished(*submitted));
+}
+
+TEST(ClusterTest, AbortedQueryReleasesItsTasks) {
+  auto options = FastOptions();
+  options.engine.cost.scale = 1.0;  // long-running
+  AccordionCluster cluster(options);
+  Coordinator* coordinator = cluster.coordinator();
+  auto submitted = coordinator->Submit(TpchQ2JPlan(coordinator->catalog()));
+  ASSERT_TRUE(submitted.ok());
+  SleepForMillis(100);
+  ASSERT_GT(HostedTasks(&cluster), 0);
+  ASSERT_TRUE(coordinator->Abort(*submitted).ok());
+
+  EXPECT_TRUE(WaitUntilNothingHosted(&cluster, 5000));
+  EXPECT_EQ(HostedTasks(&cluster), 0);
+  EXPECT_EQ(cluster.scheduler()->num_units(), 0);
+  // The released tasks' final info still answers Snapshot.
+  auto snapshot = coordinator->Snapshot(*submitted);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  EXPECT_EQ(snapshot->state, QueryState::kAborted);
+  ASSERT_EQ(snapshot->stages.size(), 4u);
+  for (const StageSnapshot& stage : snapshot->stages) {
+    EXPECT_EQ(stage.dop, 1) << "stage " << stage.stage_id;
+    ASSERT_EQ(stage.tasks.size(), 1u) << "stage " << stage.stage_id;
+    EXPECT_EQ(stage.tasks[0].state, TaskState::kAborted)
+        << "stage " << stage.stage_id;
+  }
+}
+
+// A long-lived cluster: every pass of the twelve TPC-H queries must leave
+// no task on any worker and no unit in the shared pool, and give the same
+// results as the first pass.
+TEST(ClusterTest, FinishedQueriesLeaveNothingHosted) {
+  AccordionCluster cluster(FastOptions());
+  Session session(cluster.coordinator());
+  std::vector<int64_t> first_rows;
+  for (int pass = 0; pass < 20; ++pass) {
+    SCOPED_TRACE("pass " + std::to_string(pass));
+    std::vector<int64_t> rows;
+    for (int q = 1; q <= 12; ++q) {
+      auto query = session.Execute(TpchQuerySql(q));
+      ASSERT_TRUE(query.ok()) << "Q" << q << ": " << query.status().ToString();
+      auto pages = (*query)->Wait(120000);
+      ASSERT_TRUE(pages.ok()) << "Q" << q << ": " << pages.status().ToString();
+      int64_t total = 0;
+      for (const auto& page : *pages) total += page->num_rows();
+      rows.push_back(total);
+    }
+    if (pass == 0) first_rows = rows;
+    EXPECT_EQ(rows, first_rows);
+    ASSERT_TRUE(WaitUntilNothingHosted(&cluster, 5000))
+        << HostedTasks(&cluster) << " tasks and "
+        << cluster.scheduler()->num_units() << " pool units left";
+  }
 }
 
 TEST(ClusterTest, WaitTimeoutIsDistinctAndLeavesQueryRunning) {

@@ -177,6 +177,28 @@ TEST(SessionTest, CursorOnAbortedQueryReturnsAbortedStatus) {
   EXPECT_EQ(page.status().code(), StatusCode::kAborted);
 }
 
+// A page batch below 1 is an argument error, reported at once rather than
+// after the cursor polls empty fetches until its deadline.
+TEST(SessionTest, NonPositiveFetchBatchIsRejected) {
+  AccordionCluster cluster(FastOptions());
+  for (int batch : {0, -1}) {
+    SCOPED_TRACE("fetch_batch_pages " + std::to_string(batch));
+    SessionOptions options;
+    options.fetch_batch_pages = batch;
+    Session session(cluster.coordinator(), options);
+    auto query = session.Execute(StreamingScanPlan(session.catalog()));
+    ASSERT_TRUE(query.ok());
+    ResultCursor cursor = (*query)->Cursor();
+    Stopwatch watch;
+    auto drained = cursor.Drain(1000);
+    ASSERT_FALSE(drained.ok());
+    EXPECT_EQ(drained.status().code(), StatusCode::kInvalidArgument)
+        << drained.status().ToString();
+    EXPECT_LT(watch.ElapsedMillis(), 1000);
+    ASSERT_TRUE((*query)->Abort().ok());
+  }
+}
+
 // Pages consumed off the output buffer by a timed-out Wait / Drain must
 // not be lost: a retry sees the complete stream.
 TEST(SessionTest, TimedOutWaitResumesLosslessly) {
